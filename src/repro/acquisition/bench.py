@@ -21,12 +21,26 @@ A bench has two seeding modes:
   measured.  Keyed acquisition is also *prefix-stable*: the first
   ``n`` traces of a large acquisition equal a direct ``n``-trace
   acquisition (see :class:`~repro.power.noise.NoiseModel`).
+
+Because a keyed device's bytes depend on nothing but its own stream,
+keyed trace sets can also be acquired *concurrently*:
+:func:`acquire_keyed` fans a list of ``(device, n_traces)`` requests
+out over a thread pool and returns byte-for-byte what one-at-a-time
+acquisition would.  Two things keep that exact: every device's
+deterministic waveform is rendered on the calling thread before any
+worker starts (rendering fills shared caches; acquiring only reads
+them), and each worker owns its generator and its output matrix.  A
+sequential bench is never fanned out — its single stream is consumed
+in request order by definition.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
-from typing import Dict, Iterable, Optional, Union
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +85,54 @@ def acquire_traces(
     return scope.acquire(device, n_traces, make_rng(rng), n_cycles)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+def acquire_keyed(
+    oscilloscope: Oscilloscope,
+    key: str,
+    requests: Sequence[Tuple[Device, int]],
+    n_cycles: Optional[int] = None,
+) -> List[TraceSet]:
+    """Keyed acquisition of several ``(device, n_traces)`` requests.
+
+    Each request draws from its own generator seeded by
+    :func:`derive_acquisition_seed` (``key``, device name, resolved
+    cycle count), so the result — in request order — is byte-identical
+    to acquiring the requests one by one.  Requests run on a thread
+    pool of ``min(len(requests), usable CPUs)`` threads (inline when
+    that is one) after all waveforms are rendered on this thread; each
+    task runs in a copy of the caller's :mod:`contextvars` context.
+    """
+    cycles = [device.resolve_cycles(n_cycles) for device, _ in requests]
+    for (device, _), count in zip(requests, cycles):
+        device.deterministic_waveform(count)
+
+    def acquire(device: Device, n_traces: int, count: int) -> TraceSet:
+        seed = derive_acquisition_seed(key, device.name, count)
+        return oscilloscope.acquire(
+            device, n_traces, np.random.default_rng(seed), count
+        )
+
+    jobs = [
+        (device, n_traces, count)
+        for (device, n_traces), count in zip(requests, cycles)
+    ]
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        return [acquire(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, acquire, *job)
+            for job in jobs
+        ]
+        return [future.result() for future in futures]
+
+
 class MeasurementBench:
     """One measurement setup shared across a whole experiment.
 
@@ -93,16 +155,9 @@ class MeasurementBench:
         self.key = key
         self._cache: Dict[str, TraceSet] = {}
 
-    def device_rng(
-        self, device: Device, n_cycles: Optional[int] = None
-    ) -> np.random.Generator:
-        """The keyed per-device generator (requires ``key`` mode)."""
-        if self.key is None:
-            raise ValueError("device_rng needs a keyed bench (key=...)")
-        cycles = device.resolve_cycles(n_cycles)
-        return np.random.default_rng(
-            derive_acquisition_seed(self.key, device.name, cycles)
-        )
+    @staticmethod
+    def _cache_key(device: Device, n_cycles: Optional[int]) -> str:
+        return f"{device.name}:{device.resolve_cycles(n_cycles)}"
 
     def measure(
         self,
@@ -119,19 +174,19 @@ class MeasurementBench:
         as read-only prefix views of the cached matrix — no per-hit
         copy of multi-MB trace matrices.
         """
-        cache_key = f"{device.name}:{device.resolve_cycles(n_cycles)}"
+        cache_key = self._cache_key(device, n_cycles)
         if cache and cache_key in self._cache:
             cached = self._cache[cache_key]
             if cached.n_traces >= n_traces:
                 if cached.n_traces == n_traces:
                     return cached
                 return TraceSet(cached.device_name, cached.matrix[:n_traces])
-        rng = (
-            self.device_rng(device, n_cycles)
-            if self.key is not None
-            else self.rng
-        )
-        traces = self.oscilloscope.acquire(device, n_traces, rng, n_cycles)
+        if self.key is not None:
+            (traces,) = acquire_keyed(
+                self.oscilloscope, self.key, [(device, n_traces)], n_cycles
+            )
+        else:
+            traces = self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
         if cache:
             traces.matrix.flags.writeable = False
             self._cache[cache_key] = traces
@@ -158,11 +213,31 @@ class MeasurementBench:
         fleet measures immediately without draining other callers'
         pending lanes.  Acquired bytes are unchanged either way —
         batching only fills the activity caches faster.
+
+        A keyed bench acquires every device its cache cannot serve in
+        one :func:`acquire_keyed` call, concurrently; a sequential
+        bench measures one device after another, in iteration order.
         """
         devices = list(devices)
         submitted = prime_fleet_activity(devices, n_cycles, pool=pool)
         if pool is not None and submitted:
             pool.flush()
+        if self.key is not None:
+            missing: Dict[str, Device] = {}
+            for device in devices:
+                cache_key = self._cache_key(device, n_cycles)
+                cached = self._cache.get(cache_key)
+                if cached is None or cached.n_traces < n_traces:
+                    missing.setdefault(cache_key, device)
+            acquired = acquire_keyed(
+                self.oscilloscope,
+                self.key,
+                [(device, n_traces) for device in missing.values()],
+                n_cycles,
+            )
+            for cache_key, traces in zip(missing, acquired):
+                traces.matrix.flags.writeable = False
+                self._cache[cache_key] = traces
         return {
             device.name: self.measure(device, n_traces, n_cycles)
             for device in devices

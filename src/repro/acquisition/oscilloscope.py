@@ -6,15 +6,21 @@ vertical resolution.  Acquisition is triggered at reset, so every trace
 is aligned — the paper guarantees this by placing all FSMs "in the
 exact same state before starting any power consumption measurements".
 
-Acquisition is *chunked*: the noise matrix is generated and quantised
-in row blocks bounded by ``max_chunk_bytes``, so the transient working
-set of a 10 000-trace campaign stays constant instead of scaling with
-``n_traces``.  Chunking is exact, not approximate — NumPy generators
-fill arrays sequentially from one bit stream, so any chunk split
-produces byte-identical traces (see :class:`~repro.power.noise.NoiseModel`
-for the stream contract).  The ADC window is likewise derived from the
-device's *deterministic* base waveform, never from the noisy batch, so
-the quantisation grid is invariant to both chunk size and trace count.
+Acquisition works *in place*: the ``(n_traces, n_samples)`` result is
+allocated once, the noise model fills it, the base waveform is added
+and the ADC quantises it where it lies, so a 10 000-trace acquisition
+needs no memory beyond its own trace matrix.  The ADC window is
+derived from the device's *deterministic* base waveform, never from
+the noisy batch, so the quantisation grid is invariant to the trace
+count and prefix-stable acquisitions stay prefix-stable after
+quantisation.
+
+:meth:`Oscilloscope.acquire` reads the device's rendered waveform and
+its own generator and writes only the matrix it allocates.  Once the
+waveform is rendered (rendering fills per-device and process-wide
+caches), acquisitions of different devices on different generators
+can therefore run on different threads — see
+:func:`~repro.acquisition.bench.acquire_keyed`.
 """
 
 from __future__ import annotations
@@ -27,12 +33,6 @@ import numpy as np
 from repro.acquisition.device import Device
 from repro.acquisition.traces import TraceSet
 from repro.power.noise import NoiseModel
-
-#: Default transient budget for one noise/quantisation block (bytes).
-#: Bounds the *working set* of an acquisition step — noise draws,
-#: drift draws and quantisation temporaries together — not the
-#: returned trace matrix.
-DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -50,58 +50,15 @@ class ADCConfig:
 
 
 class Oscilloscope:
-    """Noise + quantisation applied on top of a device's waveform.
-
-    ``max_chunk_bytes`` bounds the transient trace-matrix block built
-    per acquisition step; it never changes the acquired values, only
-    peak memory.
-    """
+    """Noise + quantisation applied on top of a device's waveform."""
 
     def __init__(
         self,
         noise: Optional[NoiseModel] = None,
         adc: Optional[ADCConfig] = None,
-        max_chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ):
-        if max_chunk_bytes <= 0:
-            raise ValueError("max_chunk_bytes must be positive")
         self.noise = noise if noise is not None else NoiseModel()
         self.adc = adc
-        self.max_chunk_bytes = max_chunk_bytes
-
-    def _quantize(
-        self, traces: np.ndarray, base: np.ndarray, signal_std: float
-    ) -> np.ndarray:
-        """Round traces onto the ADC grid covering the signal ± headroom.
-
-        The window center comes from the *deterministic* base waveform,
-        so two acquisitions of any chunk size or trace count land on
-        the same grid.
-        """
-        if self.adc is None:
-            return traces
-        center = float(np.mean(base))
-        spread = (self.noise.sigma + self.adc.headroom) * signal_std
-        if spread == 0:
-            return traces
-        low = center - spread
-        high = center + spread
-        levels = (1 << self.adc.bits) - 1
-        step = (high - low) / levels
-        clipped = np.clip(traces, low, high)
-        return low + np.round((clipped - low) / step) * step
-
-    def rows_per_chunk(self, n_samples: int) -> int:
-        """How many traces fit one ``max_chunk_bytes`` working block.
-
-        A chunk's transient footprint is several row-matrices, not one:
-        the noise block (twice as wide when drift is enabled) plus the
-        quantisation temporaries.  Budgeting four 8-byte matrices per
-        row keeps the *actual* peak near ``max_chunk_bytes``.
-        """
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        return max(1, int(self.max_chunk_bytes // (4 * 8 * n_samples)))
 
     def acquire(
         self,
@@ -113,9 +70,11 @@ class Oscilloscope:
         """Measure ``n_traces`` aligned traces on ``device``.
 
         This is the paper's acquisition function ``Pw(device, n)``.
-        The result is independent of ``max_chunk_bytes``: chunk k of
-        the noise stream holds exactly the draws the one-shot matrix
-        would place in those rows.
+        The ADC rounds onto the grid covering the base waveform's mean
+        ± (sigma + headroom) signal deviations; every in-place step
+        below repeats the out-of-place formula
+        ``low + round((clip(x, low, high) - low) / step) * step``
+        operation for operation, so the bytes are the same.
         """
         if n_traces <= 0:
             raise ValueError(f"n_traces must be positive, got {n_traces}")
@@ -125,15 +84,20 @@ class Oscilloscope:
             # A constant waveform still gets absolute-unit noise so the
             # correlation machinery downstream sees finite variance.
             signal_std = 1.0
-        rows = self.rows_per_chunk(base.size)
-        if rows >= n_traces:
-            noise = self.noise.sample(n_traces, base.size, signal_std, rng)
-            noise += base[np.newaxis, :]
-            return TraceSet(device.name, self._quantize(noise, base, signal_std))
-        traces = np.empty((n_traces, base.size), dtype=float)
-        for start in range(0, n_traces, rows):
-            stop = min(start + rows, n_traces)
-            chunk = self.noise.sample(stop - start, base.size, signal_std, rng)
-            chunk += base[np.newaxis, :]
-            traces[start:stop] = self._quantize(chunk, base, signal_std)
+        traces = np.empty((n_traces, base.size))
+        self.noise.sample(n_traces, base.size, signal_std, rng, out=traces)
+        traces += base
+        if self.adc is not None:
+            spread = (self.noise.sigma + self.adc.headroom) * signal_std
+            if spread != 0:
+                center = float(np.mean(base))
+                low = center - spread
+                high = center + spread
+                step = (high - low) / ((1 << self.adc.bits) - 1)
+                np.clip(traces, low, high, out=traces)
+                traces -= low
+                traces /= step
+                np.round(traces, out=traces)
+                traces *= step
+                traces += low
         return TraceSet(device.name, traces)

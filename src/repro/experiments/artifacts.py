@@ -58,11 +58,20 @@ import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.acquisition.bench import derive_acquisition_seed
+from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.oscilloscope import Oscilloscope
 from repro.acquisition.traces import TraceSet
 
@@ -320,18 +329,28 @@ class ArtifactCache:
             return cached
         return TraceSet(cached.device_name, cached.matrix[:n_traces])
 
-    def _remember(self, key: Tuple[str, str, int], traces: TraceSet) -> None:
+    def _forget(self, key: Tuple[str, str, int]) -> None:
         old = self._traces.pop(key, None)
         if old is not None:
             self.stats.note_bytes(-old.matrix.nbytes)
-        self._traces[key] = traces
-        self.stats.note_bytes(traces.matrix.nbytes)
+
+    def _evict(self, room: int = 0) -> None:
+        """Drop least-recently-used matrices until ``room`` more bytes
+        fit the budget (with ``room == 0``, the newest entry stays even
+        when it alone exceeds the budget)."""
+        keep = 0 if room else 1
         while (
-            self.stats.bytes_in_memory > self.options.max_trace_bytes
-            and len(self._traces) > 1
+            self.stats.bytes_in_memory + room > self.options.max_trace_bytes
+            and len(self._traces) > keep
         ):
             _, evicted = self._traces.popitem(last=False)
             self.stats.note_bytes(-evicted.matrix.nbytes)
+
+    def _remember(self, key: Tuple[str, str, int], traces: TraceSet) -> None:
+        self._forget(key)
+        self._traces[key] = traces
+        self.stats.note_bytes(traces.matrix.nbytes)
+        self._evict()
 
     def traces(
         self,
@@ -349,34 +368,77 @@ class ArtifactCache:
         same keyed stream (the old entry is a prefix of the new one)
         and replaces the cache entry.
         """
-        if n_traces <= 0:
-            raise ValueError(f"n_traces must be positive, got {n_traces}")
-        cycles = device.resolve_cycles(n_cycles)
+        return self.traces_many(config, [(device, n_traces)], n_cycles, fleet_tag)[0]
+
+    def traces_many(
+        self,
+        config: "CampaignConfig",
+        requests: Sequence[Tuple[object, int]],
+        n_cycles: Optional[int] = None,
+        fleet_tag: str = "none",
+    ) -> List[TraceSet]:
+        """:meth:`traces` for several ``(device, n_traces)`` requests.
+
+        Memory and disk hits are resolved first, in request order;
+        every miss is then acquired in one concurrent
+        :func:`~repro.acquisition.bench.acquire_keyed` call, and the
+        acquired sets are remembered and saved in request order.  For
+        a batch of distinct misses the LRU order and every stat but
+        ``peak_bytes`` end up exactly as one :meth:`traces` call per
+        request would leave them.  Room for the whole batch is made
+        before it is acquired, so ``peak_bytes`` counts the batch as
+        resident at once — which it is.  The bytes are the same for
+        any batch.
+        """
+        for _, n_traces in requests:
+            if n_traces <= 0:
+                raise ValueError(f"n_traces must be positive, got {n_traces}")
         base_key = measurement_base_key(config, fleet_tag)
-        key = (base_key, device.name, cycles)
-
-        cached = self._traces.get(key)
-        if cached is not None and cached.n_traces >= n_traces:
-            self._traces.move_to_end(key)
-            self.stats.trace_hits += 1
-            return self._prefix(cached, n_traces)
-
-        loaded = self._load_from_store(key, device.name, n_traces)
-        if loaded is not None:
-            self.stats.disk_hits += 1
-            self._remember(key, loaded)
-            return self._prefix(loaded, n_traces)
-
-        self.stats.trace_misses += 1
-        scope = Oscilloscope(config.noise, config.adc)
-        rng = np.random.default_rng(
-            derive_acquisition_seed(base_key, device.name, cycles)
+        keys = [
+            (base_key, device.name, device.resolve_cycles(n_cycles))
+            for device, _ in requests
+        ]
+        served: List[Optional[TraceSet]] = []
+        misses: List[int] = []
+        for index, (device, n_traces) in enumerate(requests):
+            key = keys[index]
+            cached = self._traces.get(key)
+            if cached is not None and cached.n_traces >= n_traces:
+                self._traces.move_to_end(key)
+                self.stats.trace_hits += 1
+                served.append(self._prefix(cached, n_traces))
+                continue
+            loaded = self._load_from_store(key, device.name, n_traces)
+            if loaded is not None:
+                self.stats.disk_hits += 1
+                self._remember(key, loaded)
+                served.append(self._prefix(loaded, n_traces))
+                continue
+            served.append(None)
+            misses.append(index)
+        # Make room before acquiring, so the cache and the new float64
+        # matrices together stay within the budget.  Evicting up front
+        # leaves the same entries as evicting after each insertion.
+        room = 0
+        for index in misses:
+            device, n_traces = requests[index]
+            self._forget(keys[index])
+            room += 8 * n_traces * device.trace_length(n_cycles)
+        if room:
+            self._evict(room)
+        acquired = acquire_keyed(
+            Oscilloscope(config.noise, config.adc),
+            base_key,
+            [requests[index] for index in misses],
+            n_cycles,
         )
-        acquired = self._freeze(scope.acquire(device, n_traces, rng, cycles))
-        self.stats.bytes_acquired += acquired.matrix.nbytes
-        self._remember(key, acquired)
-        self._save_to_store(key, acquired, cycles)
-        return acquired
+        for index, traces in zip(misses, acquired):
+            self.stats.trace_misses += 1
+            self.stats.bytes_acquired += traces.matrix.nbytes
+            self._remember(keys[index], self._freeze(traces))
+            self._save_to_store(keys[index], traces)
+            served[index] = traces
+        return served
 
     # -- campaign outcomes (the fourth artifact tier) ----------------------
 
@@ -466,9 +528,7 @@ class ArtifactCache:
             return None
         return self._freeze(TraceSet(device_name, matrix))
 
-    def _save_to_store(
-        self, key: Tuple[str, str, int], traces: TraceSet, cycles: int
-    ) -> None:
+    def _save_to_store(self, key: Tuple[str, str, int], traces: TraceSet) -> None:
         # Concurrent workers may interleave the has()/put() pair, so a
         # smaller acquisition can transiently clobber a larger one on
         # disk.  That is benign for correctness — loads check the row
@@ -476,7 +536,7 @@ class ArtifactCache:
         # costs a redundant acquisition on the losing side.
         if self._store is None:
             return
-        base_key, device_name, _ = key
+        base_key, device_name, cycles = key
         artifact_id = self._artifact_id(*key)
         if self._store.has(artifact_id):
             existing = self._store.get(artifact_id)

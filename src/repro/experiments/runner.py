@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.acquisition.bench import MeasurementBench
+from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.device import prime_fleet_activity
 from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
 from repro.attacks.removal import apply_fleet_transform
@@ -243,8 +243,10 @@ def run_campaign(
     Acquisition is *keyed*: every device's noise stream is seeded from
     the config's measurement base key and the device name (see
     :mod:`repro.experiments.artifacts`), never from a shared sequential
-    RNG, so trace sets do not depend on acquisition order and can be
-    shared across campaigns.  Passing an ``artifacts`` cache reuses
+    RNG, so trace sets do not depend on acquisition order: all eight
+    are acquired in one concurrent request
+    (:func:`~repro.acquisition.bench.acquire_keyed`) and can be shared
+    across campaigns.  Passing an ``artifacts`` cache reuses
     fleets and trace matrices across calls byte-identically to this
     unshared path; ``fleet_tag`` names the DUT transform the fleet
     carries (the sweep ``attack`` axis) so tampered artifacts never
@@ -307,16 +309,20 @@ def run_campaign(
     if batch_pool is not None and submitted:
         batch_pool.flush()
     p = cfg.parameters
+    # All eight trace sets in one keyed, concurrent request: the DUTs
+    # at n2 first, then the references at n1.
+    requests = [(duts[name], p.n2) for name in DUT_ORDER]
+    requests += [(refds[name], p.n1) for name in REF_ORDER]
     if artifacts is not None:
-        def measure(device, n_traces):
-            return artifacts.traces(cfg, device, n_traces, fleet_tag=fleet_tag)
+        acquired = artifacts.traces_many(cfg, requests, fleet_tag=fleet_tag)
     else:
-        bench = MeasurementBench(
+        acquired = acquire_keyed(
             Oscilloscope(cfg.noise, cfg.adc),
-            key=measurement_base_key(cfg, fleet_tag),
+            measurement_base_key(cfg, fleet_tag),
+            requests,
         )
-        measure = bench.measure
-    t_duts = {name: measure(duts[name], p.n2) for name in DUT_ORDER}
+    t_duts = dict(zip(DUT_ORDER, acquired))
+    t_refs = dict(zip(REF_ORDER, acquired[len(DUT_ORDER) :]))
     verifier = WatermarkVerifier(
         parameters=p,
         distinguishers=cfg.distinguishers,
@@ -325,8 +331,9 @@ def run_campaign(
     analysis_rng = np.random.default_rng(cfg.analysis_seed)
     reports: Dict[str, VerificationReport] = {}
     for ref_name in REF_ORDER:
-        t_ref = measure(refds[ref_name], p.n1)
-        reports[ref_name] = verifier.identify(t_ref, t_duts, rng=analysis_rng)
+        reports[ref_name] = verifier.identify(
+            t_refs[ref_name], t_duts, rng=analysis_rng
+        )
     outcome = CampaignOutcome(config=cfg, reports=reports)
     if artifacts is not None:
         artifacts.remember_outcome(cfg, fleet_tag, outcome)

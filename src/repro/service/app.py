@@ -187,14 +187,13 @@ class SweepService:
             raise HTTPError(400, f"spec.{error.path}: {error.detail}")
         options = self._merge_options(payload.get("options"))
         job, created = self.jobs.submit(spec, options)
-        description = job.describe(job.status())
+        description, _ = job.describe_with_status()
         description["created"] = created
         return (202 if created else 200), description
 
     async def _poll(self, request: Request) -> Tuple[int, object]:
         job = self._job_or_404(request)
-        status = job.status()
-        description = job.describe(status)
+        description, status = job.describe_with_status()
         if status.quarantined:
             log = FailureLog(self.store_root)
             detail = []

@@ -119,7 +119,19 @@ class SweepJob:
             lease_ttl=self.lease_ttl,
         )
 
-    def describe(self, status: Optional[SweepStatus] = None) -> Dict[str, object]:
+    def describe_with_status(self) -> Tuple[Dict[str, object], SweepStatus]:
+        """:meth:`describe` plus a live status snapshot, consistent.
+
+        The job is described *before* the snapshot is taken: a job
+        already terminal then has every record and quarantine file on
+        disk, so a terminal description never carries a stale status.
+        """
+        description = self.describe()
+        status = self.status()
+        description["status"] = status.to_json_dict()
+        return description, status
+
+    def describe(self) -> Dict[str, object]:
         """The job's JSON form for API responses."""
         payload: Dict[str, object] = {
             "job_id": self.job_id,
@@ -129,8 +141,6 @@ class SweepJob:
             "submitted_at": self.submitted_at,
             "finished_at": self.finished_at,
         }
-        if status is not None:
-            payload["status"] = status.to_json_dict()
         if self.report is not None:
             payload["report"] = {
                 "executed": self.report.n_executed,

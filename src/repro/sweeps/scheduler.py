@@ -10,8 +10,9 @@ Work units and leases
 
 The unit of work is one scenario digest.  Before executing a digest,
 a scheduler claims an *atomic lease file*
-(``<root>/.leases/<id>.lease`` — created with ``O_EXCL``, so exactly
-one claimant wins) recording the owner id, a heartbeat timestamp and
+(``<root>/.leases/<id>.lease`` — a fully written temp file hard-linked
+into place, so exactly one claimant wins and nobody reads a half-written
+lease) recording the owner id, a heartbeat timestamp and
 the lease TTL.  While an attempt runs, the scheduler heartbeats the
 lease; a lease whose heartbeat is older than its TTL is *stale* and
 any scheduler may reclaim it — a dead worker's scenarios are re-leased
@@ -49,6 +50,7 @@ only ever published through the store's atomic, deterministic writes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import multiprocessing
@@ -155,10 +157,12 @@ def _atomic_write_json(path: str, payload: object) -> None:
 class LeaseManager:
     """Atomic lease files under ``<root>/.leases/``, one per digest.
 
-    A lease is claimed by exclusive file creation — exactly one
-    claimant wins.  Reclaiming a stale lease renames it to a
-    per-claimant scratch name first; the rename succeeds for exactly
-    one reclaimer, so a stale lease is stolen at most once per expiry.
+    A lease is claimed by hard-linking a fully written private temp
+    file to the lease path — ``link`` fails if the path exists, so
+    exactly one claimant wins, and a lease is never visible before its
+    payload is.  Reclaiming a stale lease renames it to a per-claimant
+    scratch name first; the rename succeeds for exactly one reclaimer,
+    so a stale lease is stolen at most once per expiry.
     """
 
     def __init__(self, root: str, ttl: float, owner: Optional[str] = None):
@@ -172,15 +176,25 @@ class LeaseManager:
         return os.path.join(self.dir, f"{scenario_id}.lease")
 
     def read(self, scenario_id: str) -> Optional[dict]:
-        """The current lease payload, or None when unleased/corrupt."""
+        """The current lease payload, or None when unleased.
+
+        An unparsable lease is a torn write by a crashed owner and
+        reads as stale.  An *empty* one is a claim still being written
+        by a writer that creates the file before filling it; it reads
+        as fresh until it is older than the TTL.
+        """
+        path = self.path(scenario_id)
         try:
-            with open(self.path(scenario_id)) as handle:
-                return json.load(handle)
+            with open(path) as handle:
+                text = handle.read()
+            if text:
+                return json.loads(text)
+            heartbeat = os.path.getmtime(path)
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            # A torn write by a crashed owner: treat as stale below.
-            return {"owner": "?", "heartbeat": 0.0, "ttl": self.ttl}
+            heartbeat = 0.0
+        return {"owner": "?", "heartbeat": heartbeat, "ttl": self.ttl}
 
     def is_stale(self, lease: dict) -> bool:
         ttl = float(lease.get("ttl", self.ttl))
@@ -193,25 +207,31 @@ class LeaseManager:
         """Claim the digest; False when another live owner holds it."""
         path = self.path(scenario_id)
         for _ in range(3):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                lease = self.read(scenario_id)
-                if lease is None:
-                    continue  # released between open and read; retry
-                if not self.is_stale(lease):
-                    return False
-                # Steal: exactly one reclaimer wins the rename.
-                scratch = f"{path}.stale-{uuid.uuid4().hex[:8]}"
-                try:
-                    os.rename(path, scratch)
-                except FileNotFoundError:
-                    continue  # someone else stole or released it; retry
-                os.unlink(scratch)
-                continue
-            with os.fdopen(fd, "w") as handle:
+            tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+            with open(tmp, "w") as handle:
                 json.dump(self._payload(), handle)
-            return True
+            try:
+                os.link(tmp, path)
+                return True
+            except FileExistsError:
+                pass
+            except FileNotFoundError:
+                continue  # a concurrent scrub removed our temp file
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+            lease = self.read(scenario_id)
+            if lease is None:
+                continue  # released between link and read; retry
+            if not self.is_stale(lease):
+                return False
+            # Steal: exactly one reclaimer wins the rename.
+            scratch = f"{path}.stale-{uuid.uuid4().hex[:8]}"
+            try:
+                os.rename(path, scratch)
+            except FileNotFoundError:
+                continue  # someone else stole or released it; retry
+            os.unlink(scratch)
         return False
 
     def heartbeat(self, scenario_id: str) -> bool:
@@ -526,6 +546,12 @@ def _scheduled_sweep(
             pass
         return error
 
+    def finished_elsewhere(scenario_id: str) -> None:
+        del pending[scenario_id]
+        report.cached_ids.append(scenario_id)
+        if progress is not None:
+            progress(scenario_id, False)
+
     def attempt_failed(scenario_id: str, run: _Running, error) -> None:
         log.record_error(scenario_id, error)
         leases.release(scenario_id)
@@ -592,14 +618,18 @@ def _scheduled_sweep(
                 continue
             if store.has(scenario_id):
                 # Another scheduler finished it while we waited.
-                del pending[scenario_id]
-                report.cached_ids.append(scenario_id)
-                if progress is not None:
-                    progress(scenario_id, False)
+                finished_elsewhere(scenario_id)
                 progressed = True
                 continue
             if not leases.acquire(scenario_id):
                 continue  # a live owner is on it; wait or reclaim later
+            if store.has(scenario_id):
+                # Published and released between the check above and
+                # our claim: it must not run a second time.
+                leases.release(scenario_id)
+                finished_elsewhere(scenario_id)
+                progressed = True
+                continue
             attempt = log.record_attempt(scenario_id, owner)
             error_path = log.error_scratch_path(scenario_id, attempt)
             process = ctx.Process(

@@ -1,10 +1,11 @@
 """Tests for cross-scenario artifact sharing.
 
 Covers the three-key config split, the sharing-safe acquisition
-refactor (keyed per-device seeds, chunked noise generation, ADC grid
-invariance, read-only cache views, prefix reuse) and the headline
-guarantee: sweeps produce byte-identical stores with sharing on or
-off, for any worker count.
+refactor (keyed per-device seeds, in-place noise and quantisation
+checked against the out-of-place formula, ADC grid invariance,
+read-only cache views, prefix reuse, concurrent keyed acquisition)
+and the headline guarantee: sweeps produce byte-identical stores with
+sharing on or off, for any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.experiments.artifacts import (
 from repro.experiments.designs import build_paper_ip
 from repro.experiments.runner import CampaignConfig, run_campaign
 from repro.power.models import PowerModel
-from repro.power.noise import NoiseModel
+from repro.power.noise import DRIFT_BLOCK_ROWS, NoiseModel
 from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
 from repro.acquisition.device import Device
 
@@ -152,39 +153,22 @@ class TestKeyedAcquisition:
         small = scope.acquire(device, 50, np.random.default_rng(seed))
         np.testing.assert_array_equal(big.matrix[:50], small.matrix)
 
-    def test_drift_noise_keeps_chunk_and_prefix_stability(self):
+    def test_drift_noise_keeps_prefix_stability(self):
         # The drift random walk runs within a trace, so drawing must
-        # stay trace-major: chunked and truncated acquisitions must
-        # reproduce the one-shot bytes even with drift enabled.
+        # stay trace-major: a truncated acquisition must reproduce the
+        # leading rows of a longer one even with drift enabled, across
+        # the drift path's row blocks.
         device = make_device()
         noise = NoiseModel(sigma=1.0, drift_sigma=0.5)
         seed = derive_acquisition_seed("K", device.name, 64)
-        one_shot = Oscilloscope(noise=noise).acquire(
-            device, 60, np.random.default_rng(seed)
+        longer = Oscilloscope(noise=noise).acquire(
+            device, DRIFT_BLOCK_ROWS + 60, np.random.default_rng(seed)
         )
-        row_bytes = 8 * device.trace_length()
-        chunked = Oscilloscope(noise=noise, max_chunk_bytes=7 * row_bytes).acquire(
-            device, 60, np.random.default_rng(seed)
-        )
-        np.testing.assert_array_equal(one_shot.matrix, chunked.matrix)
-        prefix = Oscilloscope(noise=noise).acquire(
-            device, 25, np.random.default_rng(seed)
-        )
-        np.testing.assert_array_equal(one_shot.matrix[:25], prefix.matrix)
-
-    def test_chunked_equals_unchunked(self):
-        device = make_device()
-        seed = derive_acquisition_seed("K", device.name, 64)
-        for adc in (None, ADCConfig(bits=8)):
-            one_shot = Oscilloscope(adc=adc).acquire(
-                device, 100, np.random.default_rng(seed)
+        for n_traces in (25, DRIFT_BLOCK_ROWS + 1):
+            prefix = Oscilloscope(noise=noise).acquire(
+                device, n_traces, np.random.default_rng(seed)
             )
-            row_bytes = 8 * device.trace_length()
-            for chunk_bytes in (row_bytes, 3 * row_bytes, 64 * row_bytes):
-                chunked = Oscilloscope(
-                    adc=adc, max_chunk_bytes=chunk_bytes
-                ).acquire(device, 100, np.random.default_rng(seed))
-                np.testing.assert_array_equal(one_shot.matrix, chunked.matrix)
+            np.testing.assert_array_equal(longer.matrix[:n_traces], prefix.matrix)
 
     def test_quantisation_grid_invariant_to_trace_count(self):
         # The ADC window derives from the deterministic base waveform,
@@ -200,12 +184,6 @@ class TestKeyedAcquisition:
         # integer number of steps above the common minimum.
         offsets = (grid - grid.min()) / step
         np.testing.assert_allclose(offsets, np.round(offsets), atol=1e-6)
-
-    def test_rows_per_chunk_floor(self):
-        scope = Oscilloscope(max_chunk_bytes=1)
-        assert scope.rows_per_chunk(1024) == 1
-        with pytest.raises(ValueError):
-            Oscilloscope(max_chunk_bytes=0)
 
     def test_bench_cache_hit_is_readonly_view(self):
         bench = MeasurementBench(seed=0)
@@ -225,6 +203,213 @@ class TestKeyedAcquisition:
         assert traces.mean_trace().shape == (8,)
         copied = traces.subset([0, 2])
         assert copied.matrix.flags.writeable  # subsets stay private copies
+
+
+def out_of_place_acquire(scope, device, n_traces, rng):
+    """The acquisition formula before noise and quantisation were made
+    in place: a fresh noise matrix, ``+ base``, then
+    ``low + round((clip(x) - low) / step) * step``."""
+    base = device.deterministic_waveform()
+    signal_std = float(np.std(base)) or 1.0
+    noise = scope.noise
+    n_samples = base.size
+    if noise.drift_sigma <= 0:
+        traces = rng.normal(0.0, noise.sigma * signal_std, size=(n_traces, n_samples))
+    else:
+        block = rng.standard_normal((n_traces, 2 * n_samples))
+        traces = noise.sigma * signal_std * block[:, :n_samples]
+        drift_scale = noise.drift_sigma * signal_std / np.sqrt(n_samples)
+        traces += np.cumsum(drift_scale * block[:, n_samples:], axis=1)
+    traces += base[np.newaxis, :]
+    if scope.adc is None:
+        return traces
+    spread = (noise.sigma + scope.adc.headroom) * signal_std
+    if spread == 0:
+        return traces
+    center = float(np.mean(base))
+    low, high = center - spread, center + spread
+    step = (high - low) / ((1 << scope.adc.bits) - 1)
+    return low + np.round((np.clip(traces, low, high) - low) / step) * step
+
+
+class TestInPlaceAcquisition:
+    @pytest.mark.parametrize("n_traces", [1, 37, DRIFT_BLOCK_ROWS + 45])
+    @pytest.mark.parametrize(
+        "noise, adc",
+        [
+            (NoiseModel(sigma=1.0), None),
+            (NoiseModel(sigma=0.7), None),
+            (NoiseModel(sigma=1.0), ADCConfig(bits=6)),
+            (NoiseModel(sigma=1.0), ADCConfig(bits=10)),
+            (NoiseModel(sigma=0.0), None),
+            (NoiseModel(sigma=0.0), ADCConfig(bits=10)),
+            (NoiseModel(sigma=0.0, drift_sigma=0.0), ADCConfig(bits=6, headroom=0)),
+            (NoiseModel(sigma=1.0, drift_sigma=0.5), None),
+            (NoiseModel(sigma=1.0, drift_sigma=0.5), ADCConfig(bits=6)),
+            (NoiseModel(sigma=1.3, drift_sigma=0.3), None),
+        ],
+    )
+    def test_acquire_equals_out_of_place_formula(self, noise, adc, n_traces):
+        device = make_device()
+        scope = Oscilloscope(noise=noise, adc=adc)
+        seed = derive_acquisition_seed("K", device.name, 64)
+        fast = scope.acquire(device, n_traces, np.random.default_rng(seed))
+        oracle = out_of_place_acquire(
+            scope, device, n_traces, np.random.default_rng(seed)
+        )
+        assert fast.matrix.shape == oracle.shape
+        assert fast.matrix.tobytes() == oracle.tobytes()
+
+    def test_sample_fills_caller_matrix(self):
+        noise = NoiseModel(sigma=2.0)
+        out = np.empty((5, 16))
+        filled = noise.sample(5, 16, 1.5, np.random.default_rng(3), out=out)
+        assert filled is out
+        expected = np.random.default_rng(3).normal(0.0, 3.0, size=(5, 16))
+        np.testing.assert_array_equal(out, expected)
+        with pytest.raises(ValueError, match="shape"):
+            noise.sample(5, 16, 1.5, np.random.default_rng(3), out=np.empty((4, 16)))
+
+
+class TestConcurrentAcquisition:
+    @pytest.fixture
+    def many_cpus(self, monkeypatch):
+        # Force the thread pool even on a one-CPU runner.
+        import repro.acquisition.bench as bench_module
+
+        monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 4)
+
+    def test_measure_all_equals_per_device_measure(self, many_cpus):
+        scope = Oscilloscope(noise=NoiseModel(sigma=1.0), adc=ADCConfig())
+        devices = [make_device(name) for name in ("a", "b", "c")]
+        together = MeasurementBench(scope, key="K").measure_all(devices, 40)
+        for device in devices:
+            alone = MeasurementBench(scope, key="K").measure(device, 40)
+            assert together[device.name].matrix.tobytes() == alone.matrix.tobytes()
+            assert not together[device.name].matrix.flags.writeable
+
+    def test_measure_all_serves_cached_devices_without_reacquiring(self, many_cpus):
+        bench = MeasurementBench(key="K")
+        first = bench.measure(make_device("a"), 40)
+        result = bench.measure_all([make_device("a"), make_device("b")], 20)
+        assert np.shares_memory(result["a"].matrix, first.matrix)
+        np.testing.assert_array_equal(result["a"].matrix, first.matrix[:20])
+
+    def test_sequential_bench_is_never_fanned_out(self, monkeypatch):
+        import repro.acquisition.bench as bench_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sequential bench must not fan out")
+
+        monkeypatch.setattr(bench_module, "acquire_keyed", refuse)
+        devices = [make_device(name) for name in ("a", "b", "c")]
+        together = MeasurementBench(seed=5).measure_all(devices, 30)
+        one_by_one = MeasurementBench(seed=5)
+        for device in devices:
+            alone = one_by_one.measure(device, 30)
+            np.testing.assert_array_equal(together[device.name].matrix, alone.matrix)
+
+    def test_acquire_keyed_keeps_request_order_and_context(self, many_cpus):
+        import contextvars
+
+        from repro.acquisition.bench import acquire_keyed
+
+        marker = contextvars.ContextVar("marker", default=None)
+        seen = []
+        scope = Oscilloscope(adc=ADCConfig())
+        original = scope.acquire
+
+        def acquire(device, *args):
+            seen.append(marker.get())
+            return original(device, *args)
+
+        scope.acquire = acquire
+        marker.set("caller")
+        requests = [(make_device(name), n) for name, n in zip("abcde", (9, 3, 7, 1, 5))]
+        results = acquire_keyed(scope, "K", requests)
+        assert seen == ["caller"] * len(requests)
+        for (device, n_traces), traces in zip(requests, results):
+            assert traces.device_name == device.name
+            rng = np.random.default_rng(derive_acquisition_seed("K", device.name, 64))
+            alone = original(device, n_traces, rng)
+            assert traces.matrix.tobytes() == alone.matrix.tobytes()
+
+    def test_acquire_keyed_stress(self, monkeypatch):
+        # More threads than cores, a tiny switch interval, and devices
+        # whose waveforms are not rendered yet and share one netlist
+        # (so one process-wide activity-cache entry): every trace set
+        # must still equal its acquisition on a single thread.
+        import sys
+
+        import repro.acquisition.bench as bench_module
+        from repro.acquisition.bench import acquire_keyed
+        from repro.acquisition.device import clear_fleet_activity_cache
+
+        scope = Oscilloscope(adc=ADCConfig())
+        counts = [20 + index for index in range(12)]
+        results = {}
+        for threads in (8, 1):
+            monkeypatch.setattr(bench_module, "_usable_cpus", lambda: threads)
+            clear_fleet_activity_cache()
+            requests = [(make_device(f"d{i}"), n) for i, n in enumerate(counts)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results[threads] = acquire_keyed(scope, "K", requests)
+            finally:
+                sys.setswitchinterval(interval)
+        for threaded, inline in zip(results[8], results[1]):
+            assert threaded.matrix.tobytes() == inline.matrix.tobytes()
+
+    @pytest.mark.parametrize("budget_rows", [1000, 70])
+    def test_batched_misses_match_per_device_calls(self, many_cpus, budget_rows):
+        cfg = quick_config()
+        row_bytes = 8 * make_device().trace_length()
+        # 70 rows hold the warm entries but not them and the batch too,
+        # so making room evicts both.
+        options = ArtifactOptions(max_trace_bytes=budget_rows * row_bytes)
+        warm = [("old", 40), ("older", 30)]
+        requests = [("a", 30), ("c", 10), ("d", 20)]
+        one_by_one = ArtifactCache(options)
+        batched = ArtifactCache(options)
+        for cache in (one_by_one, batched):
+            for name, n_traces in warm:
+                cache.traces(cfg, make_device(name), n_traces)
+        expected = [
+            one_by_one.traces(cfg, make_device(name), n) for name, n in requests
+        ]
+        served = batched.traces_many(
+            cfg, [(make_device(name), n) for name, n in requests]
+        )
+        assert list(batched._traces) == list(one_by_one._traces)
+        peak = batched.stats.peak_bytes
+        # Room for the whole batch is made before acquiring, so a batch
+        # that fits the budget peaks no higher; every other stat is equal.
+        assert peak <= one_by_one.stats.peak_bytes <= options.max_trace_bytes
+        assert batched.stats == dataclasses.replace(one_by_one.stats, peak_bytes=peak)
+        if budget_rows == 1000:
+            assert peak == one_by_one.stats.peak_bytes
+        for got, want in zip(served, expected):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_batched_hits_are_resolved_before_misses(self, many_cpus, tmp_path):
+        cfg = quick_config()
+        root = str(tmp_path / "artifacts")
+        ArtifactCache(ArtifactOptions(root=root)).traces(cfg, make_device("b"), 20)
+        cache = ArtifactCache(ArtifactOptions(root=root))
+        cache.traces(cfg, make_device("a"), 20)
+        served = cache.traces_many(
+            cfg,
+            [(make_device("a"), 10), (make_device("b"), 20), (make_device("c"), 5)],
+        )
+        assert cache.stats.trace_hits == 1
+        assert cache.stats.disk_hits == 1
+        assert cache.stats.trace_misses == 2
+        assert [traces.n_traces for traces in served] == [10, 20, 5]
+        fresh = ArtifactCache()
+        for traces in served:
+            direct = fresh.traces(cfg, make_device(traces.device_name), traces.n_traces)
+            np.testing.assert_array_equal(traces.matrix, direct.matrix)
 
 
 class TestArtifactCache:

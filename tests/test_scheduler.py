@@ -133,6 +133,26 @@ class TestLeaseManager:
             handle.write("{torn")
         assert mgr.acquire("x")
 
+    def test_fresh_empty_lease_is_not_stolen(self, tmp_path):
+        # An empty lease file is a claim whose payload is still being
+        # written, not a torn write: taking it would run the digest
+        # twice.  Once it is older than the TTL it is reclaimable.
+        mgr = LeaseManager(str(tmp_path), ttl=30.0, owner="b")
+        open(mgr.path("x"), "w").close()
+        assert not mgr.acquire("x")
+        assert os.path.getsize(mgr.path("x")) == 0
+        expired = time.time() - 60.0
+        os.utime(mgr.path("x"), (expired, expired))
+        assert mgr.acquire("x")
+        assert mgr.read("x")["owner"] == "b"
+
+    def test_acquire_leaves_only_the_published_lease(self, tmp_path):
+        mgr = LeaseManager(str(tmp_path), ttl=30.0, owner="a")
+        assert mgr.acquire("x")
+        assert mgr.read("x")["owner"] == "a"
+        # The temp file the payload was written to is gone.
+        assert os.listdir(mgr.dir) == ["x.lease"]
+
     def test_scrub_removes_expired_and_scratch(self, tmp_path):
         mgr = LeaseManager(str(tmp_path), ttl=0.05, owner="a")
         mgr.acquire("expired")
@@ -418,6 +438,30 @@ class TestScheduledSweep:
         assert report.executed_ids == []
         # The waiting scheduler never attempted it.
         assert FailureLog(store.root).history(scenario.scenario_id) == []
+
+    def test_result_published_before_claim_is_not_rerun(self, tmp_path, monkeypatch):
+        # The result lands and its lease is released between the
+        # scheduler's store check and its own claim: the scheduler must
+        # check the store again under the lease instead of re-running.
+        from repro.sweeps.scenario import run_scenario
+
+        spec = spec_of((0.5,))
+        scenario = expand_scenarios(spec)[0]
+        store = SweepStore(str(tmp_path / "store"))
+        result = run_scenario(scenario)
+        claim = LeaseManager.acquire
+
+        def publish_then_claim(self, scenario_id):
+            if not store.has(scenario_id):
+                store.put(scenario_id, result["record"], result["arrays"])
+            return claim(self, scenario_id)
+
+        monkeypatch.setattr(LeaseManager, "acquire", publish_then_claim)
+        report = run_scheduled_sweep(spec, store, options=FAST_OPTS)
+        assert report.cached_ids == [scenario.scenario_id]
+        assert report.executed_ids == []
+        assert FailureLog(store.root).history(scenario.scenario_id) == []
+        assert LeaseManager(store.root, ttl=30.0).read(scenario.scenario_id) is None
 
     def test_concurrent_schedulers_execute_each_digest_once(self, tmp_path):
         spec = spec_of((0.4, 0.8, 1.2, 1.6))

@@ -280,6 +280,26 @@ class TestQuarantineSurfaced:
         assert len(detail) == 1 and detail[0]["scenario_id"] == bad
         assert detail[0]["type"] and detail[0]["attempts"] == 1
 
+    def test_terminal_description_never_carries_a_stale_status(self, tmp_path):
+        # The job finishes while its status snapshot is being taken.
+        # The description must be read before the snapshot, so it can
+        # say "running" with a newer status but never a terminal state
+        # with a status from before the job's last records were written.
+        job = service_jobs.SweepJob(
+            "j", quick_spec(), SweepOptions(), str(tmp_path / "store")
+        )
+        snapshot = job.status
+
+        def status_then_finish():
+            status = snapshot()
+            job.state = service_jobs.JOB_QUARANTINED
+            return status
+
+        job.status = status_then_finish
+        description, _ = job.describe_with_status()
+        assert description["state"] == service_jobs.JOB_RUNNING
+        assert "status" in description
+
 
 class TestJobIdentity:
     def test_job_id_is_content_addressed(self):
