@@ -1,4 +1,9 @@
-"""Statistical helpers shared by the analysis and ablation code."""
+"""Statistical helpers shared by the analysis and ablation code.
+
+Only the two significance tests need scipy, so they import it when
+called; importing this module (and with it every campaign, sweep and
+service path) loads numpy only.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("both samples need at least two observations")
+    from scipy import stats
+
     result = stats.ttest_ind(a, b, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 
@@ -67,6 +73,8 @@ def variance_ratio_f_test(
         raise ValueError("second sample has zero variance")
     f = float(var_a / var_b)
     df_a, df_b = a.size - 1, b.size - 1
+    from scipy import stats
+
     # Two-sided p-value.
     cdf = stats.f.cdf(f, df_a, df_b)
     p = float(2 * min(cdf, 1 - cdf))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,12 @@ def render_waveform(cycle_power: np.ndarray, config: WaveformConfig) -> np.ndarr
     kernel = config.pulse_kernel()
     samples = np.outer(cycle_power, kernel).reshape(-1)
     if config.pdn_pole > 0:
-        samples = lfilter(
-            [1.0 - config.pdn_pole], [1.0, -config.pdn_pole], samples
-        )
+        pole = config.pdn_pole
+        gain = 1.0 - pole
+        filtered = np.empty_like(samples)
+        state = 0.0
+        for i, x in enumerate(samples.tolist()):
+            state = gain * x + pole * state
+            filtered[i] = state
+        samples = filtered
     return samples

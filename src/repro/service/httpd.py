@@ -1,7 +1,8 @@
 """A deliberately small asyncio HTTP/1.1 layer for the sweep service.
 
-The repo's tier-1 dependency set is numpy + scipy; pulling in a web
-framework for five JSON endpoints would be the tail wagging the dog.
+The repo's runtime path imports numpy only (scipy serves just the
+``analysis.stats`` significance tests); pulling in a web framework for
+five JSON endpoints would be the tail wagging the dog.
 This module implements exactly the slice of HTTP the service needs on
 top of ``asyncio.start_server``:
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.correlation import pearson
 from repro.power.noise import NoiseModel
@@ -35,6 +36,28 @@ class TestWaveformConfig:
             WaveformConfig(pdn_pole=1.0)
 
 
+# Per-cycle power values for the filter oracle: exact zeros of both
+# signs, subnormals, huge magnitudes and ordinary values.  Magnitudes
+# stay below 1e300 so no intermediate overflows to inf.
+FILTER_INPUTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=1e290, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e290),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+def lfilter_waveform(cycle_power, config):
+    """The scipy formulation the PDN filter must reproduce bit for bit."""
+    from scipy.signal import lfilter
+
+    samples = np.outer(cycle_power, config.pulse_kernel()).reshape(-1)
+    if config.pdn_pole > 0:
+        samples = lfilter([1.0 - config.pdn_pole], [1.0, -config.pdn_pole], samples)
+    return samples
+
+
 class TestRenderWaveform:
     def test_output_length(self):
         config = WaveformConfig(samples_per_cycle=4, pdn_pole=0.0)
@@ -64,6 +87,40 @@ class TestRenderWaveform:
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError):
             render_waveform(np.ones((2, 2)), WaveformConfig())
+
+    @given(
+        cycle_power=arrays(
+            np.float64, st.integers(min_value=1, max_value=1000), elements=FILTER_INPUTS
+        ),
+        samples_per_cycle=st.integers(min_value=1, max_value=4),
+        pulse_decay=st.floats(min_value=0.05, max_value=1.0),
+        pdn_pole=st.one_of(
+            st.sampled_from([0.0, 1e-4, 0.25, 0.999]),
+            st.floats(min_value=1e-4, max_value=0.999),
+        ),
+    )
+    def test_filter_matches_lfilter_bitwise(
+        self, cycle_power, samples_per_cycle, pulse_decay, pdn_pole
+    ):
+        config = WaveformConfig(
+            samples_per_cycle=samples_per_cycle,
+            pulse_decay=pulse_decay,
+            pdn_pole=pdn_pole,
+        )
+        out = render_waveform(cycle_power, config)
+        expected = lfilter_waveform(cycle_power, config)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
+    def test_filter_matches_lfilter_on_long_waveforms(self):
+        rng = np.random.default_rng(2014)
+        cycle_power = rng.random(1024) * 10.0 ** rng.integers(-320, 300, 1024)
+        cycle_power[100:400] = 0.0
+        for pdn_pole in (1e-4, 0.25, 0.999):
+            config = WaveformConfig(samples_per_cycle=4, pdn_pole=pdn_pole)
+            out = render_waveform(cycle_power, config)
+            expected = lfilter_waveform(cycle_power, config)
+            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
     @given(st.integers(min_value=1, max_value=8))
     def test_samples_per_cycle_scales_length(self, s):
