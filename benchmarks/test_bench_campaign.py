@@ -27,7 +27,7 @@ from repro.experiments.artifacts import (
     clear_process_artifact_cache,
     process_artifact_cache,
 )
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
@@ -60,6 +60,8 @@ def _spec() -> SweepSpec:
 def _store_digest(root: str) -> str:
     digest = hashlib.sha256()
     for entry in sorted(os.listdir(root)):
+        if entry.startswith("."):
+            continue  # operational metadata (.attempts/) is not a result
         digest.update(entry.encode())
         with open(os.path.join(root, entry), "rb") as handle:
             digest.update(handle.read())
@@ -74,8 +76,8 @@ def test_bench_campaign_sharing(capsys):
         root = tempfile.mkdtemp(prefix="bench_campaign_")
         roots.append(root)
         start = time.perf_counter()
-        report = run_sweep(
-            _spec(), SweepStore(root), n_workers=1, artifacts=artifacts
+        report = run(
+            _spec(), SweepStore(root), SweepOptions(n_workers=1, artifacts=artifacts)
         )
         seconds = time.perf_counter() - start
         assert report.n_executed == n_scenarios

@@ -2,10 +2,10 @@
 
 Measures the sweep runner on reduced-parameter grids:
 
-* cold execution throughput (scenarios/second, single worker — the
-  multiprocess path has identical per-scenario cost plus pool
-  overhead) and the warm path where every scenario is served from the
-  content-addressed store;
+* cold execution throughput (scenarios/second, single in-process
+  worker — the worker-process path has identical per-scenario cost
+  plus dispatch overhead) and the warm path where every scenario is
+  served from the content-addressed store;
 * the PR 5 *pooled* executor — cross-campaign batch pool + artifact
   sharing + campaign-outcome memoisation — against the plain unpooled
   executor on a shape-homogeneous analysis grid (one fleet, one
@@ -32,7 +32,7 @@ from repro.experiments.artifacts import (
 )
 from repro.hdl.batch_pool import BatchPoolOptions
 from repro.hdl.engine import clear_program_cache
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
@@ -94,7 +94,7 @@ def test_bench_sweep_cold(benchmark, results):
     def run_cold():
         root = tempfile.mkdtemp(prefix="bench_sweep_")
         roots.append(root)
-        return run_sweep(_spec(), SweepStore(root), n_workers=1)
+        return run(_spec(), SweepStore(root), SweepOptions(n_workers=1))
 
     report = benchmark.pedantic(run_cold, rounds=3, iterations=1)
     for root in roots:
@@ -107,10 +107,12 @@ def test_bench_sweep_cold(benchmark, results):
 def test_bench_sweep_warm_store(benchmark, results):
     root = tempfile.mkdtemp(prefix="bench_sweep_")
     store = SweepStore(root)
-    run_sweep(_spec(), store, n_workers=1)
+    run(_spec(), store, SweepOptions(n_workers=1))
 
     report = benchmark.pedantic(
-        lambda: run_sweep(_spec(), store, n_workers=1), rounds=3, iterations=1
+        lambda: run(_spec(), store, SweepOptions(n_workers=1)),
+        rounds=3,
+        iterations=1,
     )
     shutil.rmtree(root, ignore_errors=True)
     assert report.n_executed == 0 and report.n_cached == 12
@@ -128,7 +130,7 @@ def test_bench_sweep_pooled_grid_unpooled(benchmark, results):
         return (root,), {}
 
     def run_unpooled(root):
-        return run_sweep(_pooled_spec(), SweepStore(root), n_workers=1)
+        return run(_pooled_spec(), SweepStore(root), SweepOptions(n_workers=1))
 
     report = benchmark.pedantic(run_unpooled, setup=setup, rounds=3, iterations=1)
     assert report.n_executed == 12
@@ -148,12 +150,12 @@ def test_bench_sweep_pooled(benchmark, results):
         return (root,), {}
 
     def run_pooled(root):
-        return run_sweep(
+        return run(
             _pooled_spec(),
             SweepStore(root),
-            n_workers=1,
-            artifacts=ArtifactOptions(),
-            pool=BatchPoolOptions(),
+            SweepOptions(
+                n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()
+            ),
         )
 
     report = benchmark.pedantic(run_pooled, setup=setup, rounds=3, iterations=1)
@@ -171,12 +173,10 @@ def test_bench_sweep_pooled_repeat(benchmark, results):
 
     _clear_process_state()
     warm_root = tempfile.mkdtemp(prefix="bench_sweep_repeat_warm_")
-    run_sweep(
+    run(
         _pooled_spec(),
         SweepStore(warm_root),
-        n_workers=1,
-        artifacts=ArtifactOptions(),
-        pool=BatchPoolOptions(),
+        SweepOptions(n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()),
     )
     roots = []
 
@@ -186,12 +186,12 @@ def test_bench_sweep_pooled_repeat(benchmark, results):
         return (root,), {}
 
     def run_repeat(root):
-        return run_sweep(
+        return run(
             _pooled_spec(),
             SweepStore(root),
-            n_workers=1,
-            artifacts=ArtifactOptions(),
-            pool=BatchPoolOptions(),
+            SweepOptions(
+                n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()
+            ),
         )
 
     report = benchmark.pedantic(run_repeat, setup=setup, rounds=3, iterations=1)

@@ -15,7 +15,8 @@ end on a simulated hardware substrate:
 * :mod:`repro.experiments` — drivers reproducing Fig. 4, Fig. 5 and
   Tables I/II;
 * :mod:`repro.sweeps` — declarative scenario sweeps over campaign
-  axes with multiprocess execution and a resumable result store;
+  axes, run in process or on leased worker processes, with a
+  resumable result store;
 * :mod:`repro.baselines` — related-work comparators.
 
 Quickstart::
@@ -62,7 +63,6 @@ from repro.sweeps import (
     SweepSpec,
     SweepStore,
     expand_scenarios,
-    run_sweep,
 )
 
 __version__ = "1.0.0"
@@ -103,5 +103,4 @@ __all__ = [
     "SweepSpec",
     "SweepStore",
     "expand_scenarios",
-    "run_sweep",
 ]

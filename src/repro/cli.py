@@ -14,10 +14,10 @@ Usage::
 All subcommands accept ``--seed`` (measurement seed) and ``--engine``
 (pin the netlist-simulation path: auto / compiled / interpreted).
 
-``sweep`` runs a declarative scenario grid through the multiprocess
-sweep runner (:mod:`repro.sweeps`) into a content-addressed result
-store: interrupted or repeated invocations only execute scenarios
-whose results are not on disk yet.  Axes are ``field=v1,v2,...``
+``sweep`` runs a declarative scenario grid through the sweep runner
+(:mod:`repro.sweeps`) into a content-addressed result store:
+interrupted or repeated invocations only execute scenarios whose
+results are not on disk yet.  Axes are ``field=v1,v2,...``
 pairs over campaign-config paths (``noise.sigma``, ``parameters.n2``,
 ``adc.bits``, ``watermarked``, ``attack``, ...); values are parsed as
 JSON scalars.  Without ``--axis`` a default 24-scenario surface (noise
@@ -26,21 +26,23 @@ x trace budget x attack) is swept at a reduced, fast parameter point.
 matrices and whole memoised campaign outcomes across scenarios whose
 config tiers agree (byte-identical results, order-of-magnitude faster
 analysis-axis grids and repeat studies); ``--artifact-cache DIR`` adds
-an on-disk tier shared by all workers and runs.  The cross-campaign
-batch pool is on by default (``--no-batch-pool`` disables it):
-scenario fleets' netlist simulations are collected and executed in
-shared shape-grouped engine batches that span scenario boundaries,
-with flush budgets tunable via ``--pool-lanes`` / ``--pool-bytes`` —
-store bytes are identical with the pool on or off.
+an on-disk tier shared by all workers and runs.  With ``--workers 1``
+the sweep runs in process and the cross-campaign batch pool is on by
+default (``--no-batch-pool`` disables it): scenario fleets' netlist
+simulations are collected and executed in shared shape-grouped engine
+batches that span scenario boundaries, with flush budgets tunable via
+``--pool-lanes`` / ``--pool-bytes`` — store bytes are identical with
+the pool on or off.
 
 Sweeps degrade gracefully instead of aborting: failures retry with
 backoff (``--max-retries``, default 2 re-attempts) and scenarios that
 exhaust their budget are quarantined under ``<store>/failed/`` while
 the rest of the sweep completes (the command then exits 1 and lists
-them).  ``--scenario-timeout`` / ``--lease-ttl`` switch to lease-based
-scheduling: each attempt runs in an isolated worker process killed on
-timeout, and several sweep invocations may safely share one store root
-— leases keep them off each other's work and a dead worker's
+them).  ``--workers`` greater than 1, ``--scenario-timeout`` or
+``--lease-ttl`` run the sweep lease-scheduled on long-lived worker
+processes: a worker that crashes or passes the timeout is killed and
+replaced, and several sweep invocations may safely share one store
+root — leases keep them off each other's work and a dead instance's
 scenarios are re-leased after the TTL.  ``--scrub`` clears crash
 residue (orphaned temp files and bundles, expired leases) before
 running.
@@ -343,7 +345,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     retry = RetryPolicy(max_attempts=args.max_retries + 1)
     scheduler = None
     if args.scenario_timeout is not None or args.lease_ttl is not None:
-        scheduler_kwargs: Dict[str, object] = {"retry": retry}
+        scheduler_kwargs: Dict[str, object] = {}
         if args.lease_ttl is not None:
             scheduler_kwargs["lease_ttl"] = args.lease_ttl
         if args.scenario_timeout is not None:
@@ -394,8 +396,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if artifacts is not None
             else ""
         )
-        + (", batch pool" if pool is not None else ", no batch pool")
-        + (", lease scheduler" if scheduler is not None else "")
+        # The batch pool applies to in-process sweeps only.
+        + (
+            (", batch pool" if pool is not None else "")
+            if workers == 1 and scheduler is None
+            else ", lease scheduler"
+        )
     )
     report = run(
         spec,
@@ -456,9 +462,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.max_retries < 0:
         raise SystemExit("error: --max-retries must be >= 0")
-    scheduler_kwargs: Dict[str, object] = {
-        "retry": RetryPolicy(max_attempts=args.max_retries + 1)
-    }
+    scheduler_kwargs: Dict[str, object] = {}
     if args.lease_ttl is not None:
         scheduler_kwargs["lease_ttl"] = args.lease_ttl
     if args.scenario_timeout is not None:
@@ -470,7 +474,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(f"error: invalid scheduler options: {error}")
     workers = args.workers if args.workers else default_workers()
-    options = SweepOptions(n_workers=workers, scheduler=scheduler)
+    options = SweepOptions(
+        n_workers=workers,
+        retry=RetryPolicy(max_attempts=args.max_retries + 1),
+        scheduler=scheduler,
+    )
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s: %(message)s"
     )
@@ -555,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes (0 = half the machine's cores)",
+        help="worker processes (0 = half the machine's cores; more "
+        "than 1 runs lease-scheduled)",
     )
     sweep.add_argument(
         "--share-artifacts",
@@ -578,15 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=True,
         help="pool scenario fleets' netlist simulations into shared "
-        "cross-campaign engine batches (default: on; byte-identical "
-        "results either way)",
+        "cross-campaign engine batches (default: on; in-process "
+        "sweeps with --workers 1 only; byte-identical results either way)",
     )
     sweep.add_argument(
         "--no-batch-pool",
         dest="batch_pool",
         action="store_false",
         help="run every scenario's simulations through its own "
-        "per-campaign batches (the pre-pool executor path)",
+        "per-campaign batches",
     )
     sweep.add_argument(
         "--pool-lanes",
@@ -619,18 +628,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="kill any single scenario attempt after this long and "
-        "retry it (implies lease-based scheduling with isolated "
-        "attempt processes)",
+        "retry it (implies lease-scheduled worker processes)",
     )
     sweep.add_argument(
         "--lease-ttl",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="lease time-to-live for lease-based scheduling: a worker "
-        "that misses heartbeats for this long is presumed dead and its "
-        "scenario is re-leased (implies lease-based scheduling; safe "
-        "to run several schedulers on one store root)",
+        help="lease time-to-live: a run that misses heartbeats for "
+        "this long is presumed dead and its scenarios are re-leased "
+        "(implies lease-scheduled worker processes; safe to run "
+        "several sweeps on one store root)",
     )
     sweep.add_argument(
         "--scrub",

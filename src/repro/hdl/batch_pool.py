@@ -9,7 +9,7 @@ scenarios still execute in separate engine runs.
 
 :class:`BatchPool` closes that gap.  It collects pending
 ``(simulator, cycles)`` requests from any number of callers —
-campaigns, scenarios, whole sweep chunks — and defers execution until
+campaigns, scenarios, whole sweeps — and defers execution until
 a *flush*: one :func:`~repro.hdl.simulator.simulate_batch` call that
 groups every pending lane by the engine's shape key **across campaign
 boundaries** and executes each shape group in a single batched run
@@ -23,14 +23,15 @@ past ``max_bytes`` of estimated recorded-value tensors flushes
 immediately, which bounds the memory of one batched execution no
 matter how many scenarios feed the pool.
 
-Callers decide *when* to drain, and the sweep executor exploits that
-to overlap flushing with acquisition: a prefetch flushes only the
-first scenario's lanes so its campaign starts measuring at once,
-leaves the rest of the wave pending, and the first campaign whose
-priming finds unresolved lanes drains the accumulated wave in one
-cross-campaign flush (see
-:func:`~repro.sweeps.executor._prefetch_into_pool`).  Because batch
-boundaries never change trace bytes, that scheduling freedom is free.
+Callers decide *when* to drain, and in-process sweeps exploit that to
+overlap flushing with acquisition: a prefetch flushes only the first
+scenario's lanes so its campaign starts measuring at once, leaves the
+rest of the wave pending, and the first campaign whose priming finds
+unresolved lanes drains the accumulated wave in one cross-campaign
+flush (see :class:`~repro.sweeps.executor.InlineAttempts`, the
+in-process attempt runner; sweeps on worker processes do not pool).
+Because batch boundaries never change trace bytes, that scheduling
+freedom is free.
 
 **Invariant — pooling never changes trace bytes.**  The pool is pure
 deferral plus grouping on top of :func:`simulate_batch`, whose results
@@ -148,9 +149,8 @@ class BatchFuture:
 class BatchPool:
     """Collects simulation requests and flushes them in shared batches.
 
-    One pool instance is meant to span many campaigns: the sweep
-    executor holds one per run (inline mode) or one per worker chunk
-    (multiprocess mode) and threads it through
+    One pool instance is meant to span many campaigns: an in-process
+    sweep holds one per run and threads it through
     :func:`~repro.experiments.runner.run_campaign` down to
     :func:`~repro.acquisition.device.prime_fleet_activity`.  All
     submissions simulate from reset — exactly what every activity /

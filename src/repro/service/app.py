@@ -121,8 +121,10 @@ class SweepService:
                 )
         defaults = self.default_options
         scheduler = defaults.scheduler or SchedulerOptions()
+        n_workers = payload.get("n_workers", defaults.n_workers)
+        if isinstance(n_workers, bool) or not isinstance(n_workers, int):
+            raise HTTPError(400, "options.n_workers: expected an integer")
         try:
-            n_workers = int(payload.get("n_workers", defaults.n_workers))
             retry = defaults.retry
             if "max_retries" in payload:
                 retry = RetryPolicy(

@@ -73,13 +73,22 @@ class Request:
     params: Dict[str, str] = field(default_factory=dict)
 
     def json(self) -> object:
-        """The request body parsed as JSON (400 on malformed input)."""
+        """The request body parsed as JSON (400 on malformed input).
+
+        ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON and are
+        rejected: a non-finite option would, for example, make a
+        lease that never goes stale.
+        """
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return json.loads(self.body.decode("utf-8"), parse_constant=_no_constant)
         except (UnicodeDecodeError, ValueError) as error:
             raise HTTPError(400, f"request body is not valid JSON: {error}")
+
+
+def _no_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a JSON value")
 
 
 #: A JSON handler returns (status, payload); a stream handler returns

@@ -17,14 +17,14 @@ small:
 * :func:`run` is **the one entry point for executing a sweep**:
   ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions`
   carries every knob — worker count, artifact sharing, the
-  cross-campaign batch pool, retry policy, and (by setting
-  ``scheduler=SchedulerOptions(...)``) lease-based fault-tolerant
-  scheduling in which attempts run in isolated child processes with
-  timeouts and any number of instances safely share one store root.
-  Whatever the options, the resulting :class:`SweepStore` is
-  byte-identical to a clean single-worker run.  The historical entry
-  points ``run_sweep`` and ``run_scheduled_sweep`` remain as thin
-  deprecated aliases of this facade.
+  cross-campaign batch pool, retry policy and
+  :class:`SchedulerOptions` (lease TTL, scenario timeout, status
+  interval).  One supervisor loop runs every sweep: with one worker
+  and no scheduler options, attempts run in process; otherwise they
+  run on long-lived, lease-scheduled worker processes, so any number
+  of runs can safely share one store root.  Whatever the options, the
+  resulting :class:`SweepStore` is byte-identical to a clean
+  single-worker run.
 
 * :func:`sweep_status` snapshots a store root's execution state
   (completed / pending / leased / quarantined / attempt counts) —
@@ -56,7 +56,6 @@ from repro.sweeps.api import (
 from repro.sweeps.executor import (
     SweepReport,
     default_workers,
-    run_sweep,
 )
 from repro.sweeps.faultinject import (
     FaultPlan,
@@ -73,7 +72,6 @@ from repro.sweeps.scheduler import (
     LeaseManager,
     RetryPolicy,
     SchedulerOptions,
-    run_scheduled_sweep,
 )
 from repro.sweeps.scenario import (
     ATTACKS,
@@ -145,8 +143,6 @@ __all__ = [
     "run",
     "run_scenario",
     "run_scenario_campaign",
-    "run_scheduled_sweep",
-    "run_sweep",
     "scenario_config",
     "spec_from_dict",
     "spec_to_dict",

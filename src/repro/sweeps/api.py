@@ -1,35 +1,29 @@
 """The one public entry point for executing a sweep.
 
-Historically sweep execution grew two divergent front doors:
-``run_sweep(spec, store, n_workers=, artifacts=, pool=, retry=,
-scheduler=)`` and ``run_scheduled_sweep(spec, store, options=,
-n_workers=, artifacts=)``.  Embedders (the HTTP sweep service, the
-CLI, tests, notebooks) had to know which one to call and how their
-keyword sets differed.  This module collapses both behind
-
     ``run(spec, store, options=SweepOptions(...), progress=...)``
 
-where :class:`SweepOptions` carries every execution knob.  Execution
-strategy never changes results: whatever the options, the store is
-byte-identical to a clean single-worker run — the old entry points
-remain as deprecated aliases of this facade and are pinned to produce
-byte-identical stores by the tier-1 suite.
+:class:`SweepOptions` carries every execution knob.  Execution never
+changes results: whatever the options, the store is byte-identical to
+a clean single-worker run.
 
-Strategy selection is one rule: ``options.scheduler`` set routes the
-sweep through the lease-based fault-tolerant scheduler
-(:mod:`repro.sweeps.scheduler` — isolated attempt processes, scenario
-timeouts, safe concurrency of many instances on one store root);
-unset runs the in-process executor (:mod:`repro.sweeps.executor` —
-inline or multiprocess pool, cross-campaign batch pooling).
+Every sweep runs through one loop,
+:func:`repro.sweeps.scheduler.supervise`, which owns attempts,
+retries, quarantine and progress.  The options only choose where
+attempts run:
+
+* ``n_workers == 1`` and no ``scheduler``: in process, on the calling
+  thread, with the cross-campaign batch pool when ``pool`` is set;
+* otherwise: on ``n_workers`` long-lived, lease-scheduled worker
+  processes, with scenario timeouts and safe concurrency of many runs
+  on one store root.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.sweeps.scheduler import RetryPolicy, SchedulerOptions
+from repro.sweeps.scheduler import RetryPolicy, SchedulerOptions, supervise
 from repro.sweeps.spec import SweepSpec
 from repro.sweeps.store import SweepStore
 
@@ -44,8 +38,8 @@ class SweepOptions:
     """Every execution knob of one sweep run, in one place.
 
     ``n_workers``
-        Parallelism: pool processes (plain executor) or concurrent
-        attempt slots (lease scheduler).
+        Parallelism.  More than one runs attempts on that many
+        long-lived, lease-scheduled worker processes.
 
     ``artifacts``
         :class:`~repro.experiments.artifacts.ArtifactOptions` enabling
@@ -55,21 +49,19 @@ class SweepOptions:
 
     ``pool``
         :class:`~repro.hdl.batch_pool.BatchPoolOptions` enabling the
-        cross-campaign batch pool.  Only meaningful without a
-        scheduler — lease-scheduled attempts are deliberately isolated
-        in their own processes and ignore it (unchanged from the
-        historical ``run_sweep`` behaviour).
+        cross-campaign batch pool.  Applies to in-process sweeps only
+        (``n_workers == 1`` and no ``scheduler``); worker processes
+        ignore it.
 
     ``retry``
-        Per-scenario attempt budget and backoff.  With a scheduler it
-        overrides ``scheduler.retry``; without one it bounds the
-        in-process retry loop.  ``None`` means the stock
-        :class:`~repro.sweeps.scheduler.RetryPolicy`.
+        Per-scenario attempt budget and backoff.  ``None`` means the
+        stock :class:`~repro.sweeps.scheduler.RetryPolicy`.
 
     ``scheduler``
-        :class:`~repro.sweeps.scheduler.SchedulerOptions` switches to
-        lease-based scheduling; ``None`` selects the in-process
-        executor.
+        :class:`~repro.sweeps.scheduler.SchedulerOptions` (lease TTL,
+        scenario timeout, status log interval).  Setting it runs the
+        sweep on leased worker processes even with one worker;
+        ``None`` uses the defaults when ``n_workers > 1``.
 
     Results never depend on any of these: every combination converges
     on a byte-identical store.
@@ -94,40 +86,14 @@ def run(
 ) -> "SweepReport":
     """Execute every missing scenario of ``spec`` into ``store``.
 
-    The unified facade over both execution strategies (see the module
-    docstring).  ``progress`` (if given) is called as
-    ``progress(scenario_id, executed)`` once per scenario —
-    immediately for scenarios already in the store, on completion for
-    executed ones.  Returns a
+    ``progress`` (if given) is called as ``progress(scenario_id,
+    executed)`` once per scenario — immediately for scenarios already
+    in the store, on completion for executed ones.  Returns a
     :class:`~repro.sweeps.executor.SweepReport`; aggregate tables are
     read back from the store (:mod:`repro.sweeps.aggregate`) and
     progress snapshots from :func:`repro.sweeps.status.sweep_status`.
     """
-    from repro.sweeps.executor import _plain_sweep
-    from repro.sweeps.scheduler import _scheduled_sweep
-
-    options = options or SweepOptions()
-    if options.scheduler is not None:
-        scheduler = options.scheduler
-        if options.retry is not None:
-            scheduler = dataclasses.replace(scheduler, retry=options.retry)
-        return _scheduled_sweep(
-            spec,
-            store,
-            options=scheduler,
-            n_workers=options.n_workers,
-            progress=progress,
-            artifacts=options.artifacts,
-        )
-    return _plain_sweep(
-        spec,
-        store,
-        n_workers=options.n_workers,
-        progress=progress,
-        artifacts=options.artifacts,
-        pool=options.pool,
-        retry=options.retry,
-    )
+    return supervise(spec, store, options or SweepOptions(), progress)
 
 
 __all__ = ["SweepOptions", "run"]

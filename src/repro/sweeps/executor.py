@@ -1,42 +1,37 @@
-"""Multiprocess sweep execution with incremental resume and graceful
-degradation.
+"""Where sweep attempts run: in process, or on long-lived workers.
 
-This is the *in-process* execution strategy behind the unified
-:func:`repro.sweeps.run` facade (selected when
-:attr:`~repro.sweeps.api.SweepOptions.scheduler` is unset): it expands
-a :class:`~repro.sweeps.spec.SweepSpec`, skips every scenario already
-present in the :class:`~repro.sweeps.store.SweepStore`, and executes
-the missing ones — inline for ``n_workers <= 1``, otherwise on a
-``multiprocessing`` pool in chunked work units.  The lease-based
-strategy lives in :mod:`repro.sweeps.scheduler`; the historical
-:func:`run_sweep` entry point survives as a deprecated alias of the
-facade.
+:func:`repro.sweeps.scheduler.supervise` owns every sweep's attempt
+loop — attempt numbering, retry, quarantine, leases, progress and the
+:class:`SweepReport`.  This module provides the two places it runs
+attempts in, behind one small interface (``capacity``, ``submit``,
+``wait``, ``close``, and ``kill`` where scenario timeouts apply):
+
+* :class:`InlineAttempts` runs each attempt on the calling thread.
+  The supervisor uses it when ``n_workers == 1`` and no scheduler
+  options are given.
+* :class:`WorkerPool` forks ``min(n_workers, pending)`` worker
+  processes once per run.  Each loops on a pipe: it receives
+  ``(scenario, attempt)``, runs the attempt and replies ``None`` on
+  success or an :func:`~repro.sweeps.scheduler.error_info` dict on
+  failure.  A worker that dies mid-attempt (``os._exit``, SIGKILL,
+  OOM) or is killed at its scenario timeout is replaced by a fresh
+  fork; the supervisor records the attempt as failed.
+
+Both run the same attempt body (:func:`_execute_attempt`): fault
+context, ``scenario.pre`` / ``scenario.post`` fault points,
+:func:`~repro.sweeps.scenario.run_scenario` and ``store.put``.
 
 Determinism: a scenario's result is a pure function of its override
 mapping (all seeds are inside it, derived from the spec), and every
-worker writes results through the same deterministic serialisation.  A
-4-worker run therefore produces a byte-identical store to a 1-worker
-run; only wall-clock time changes.  Workers write each finished
-scenario to the store *immediately*, so killing a sweep loses at most
-the scenarios in flight — a rerun picks up exactly the missing ones.
+attempt writes results through the same deterministic serialisation.
+A 4-worker run therefore produces a byte-identical store to a 1-worker
+run; only wall-clock time changes.  Each finished scenario is written
+to the store *immediately*, so killing a sweep loses at most the
+scenarios in flight — a rerun picks up exactly the missing ones.
 
-Fault tolerance: one failing scenario no longer aborts the sweep.
-Every attempt is wrapped; failures are retried with exponential
-backoff per the :class:`~repro.sweeps.scheduler.RetryPolicy` (attempt
-numbers persist in ``.attempts/`` beside the store, so seeded fault
-plans stay deterministic across runs), and a scenario that exhausts
-its budget is quarantined as a ``failed/<id>.json`` record — the sweep
-continues and the loss surfaces in :attr:`SweepReport.failed_ids`
-instead of discarding every sibling's progress.  Retries rewrite
-results through the store's idempotent atomic publishes, so a
-retried, crashed or duplicated execution still converges on a store
-byte-identical to a clean single-worker run — the invariant is
-exercised under injected faults (:mod:`repro.sweeps.faultinject`) by
-the tier-1 suite and CI's chaos smoke job.
-
-Artifact sharing: passing ``artifacts=``
+Artifact sharing: ``artifacts=``
 :class:`~repro.experiments.artifacts.ArtifactOptions` gives every
-worker a process-wide :class:`~repro.experiments.artifacts.ArtifactCache`,
+attempt a process-wide :class:`~repro.experiments.artifacts.ArtifactCache`,
 so scenarios that differ only in analysis-side axes reuse one fleet
 manufacture and one trace acquisition — byte-identically, because
 acquisition streams are keyed per device, never sequential — and whole
@@ -44,32 +39,27 @@ campaign outcomes are memoised on the analysis key, so a re-run study
 (same scenarios, fresh store) skips re-analysis entirely.  An options
 ``root`` adds a shared on-disk tier, which is how *separate worker
 processes* (and separate runs) meet: the first worker to need an
-artifact persists it, the rest load it.
+artifact persists it, the rest load it.  A long-lived worker keeps its
+in-memory tiers warm across the attempts it runs.
 
-Cross-campaign batching: passing ``pool=``
+Cross-campaign batching (in process only): ``pool=``
 :class:`~repro.hdl.batch_pool.BatchPoolOptions` routes every
 scenario's netlist simulation through one shared
-:class:`~repro.hdl.batch_pool.BatchPool`.  Before campaigns run, the
-executor *prefetches* in bounded windows: it builds (or fetches from
-the artifact cache) each window scenario's fleet and submits its
-distinct ``(structure, cycles)`` activity entries to the pool.  Only
-the first submitting scenario's lanes are flushed eagerly — the
-window's first campaign starts measuring immediately while the rest
-of the wave stays pending, and drains in one cross-campaign
+:class:`~repro.hdl.batch_pool.BatchPool`.  Before a window of
+campaigns runs, :class:`InlineAttempts` *prefetches* it: it builds (or
+fetches from the artifact cache) each window scenario's fleet and
+submits its distinct ``(structure, cycles)`` activity entries to the
+pool.  Only the first submitting scenario's lanes are flushed eagerly
+— the window's first campaign starts measuring immediately while the
+rest of the wave stays pending, and drains in one cross-campaign
 shape-grouped flush when the first campaign that needs it primes its
 fleet — scenarios batch across, not just within, campaigns, while
-peak memory stays bounded by one window's fleets.  Inline mode holds
-one pool across the whole sweep; multiprocess mode holds one per
-worker chunk.  Scenarios whose campaign outcome is already memoised
+peak memory stays bounded by one window's fleets.  One pool spans the
+whole sweep.  Scenarios whose campaign outcome is already memoised
 are skipped by the prefetch — a memoised campaign never consults the
 pool.  Pooling is pure execution strategy: store digests are
-byte-identical with the pool on or off, for any worker count, window
-or flush budget.
-
-Chunking walks the expansion order, which groups scenarios that share
-a fleet structure; inside one worker chunk the process-wide activity,
-compiled-program and artifact caches then make consecutive scenarios
-cheap.
+byte-identical with the pool on or off, for any window or flush
+budget.
 """
 
 from __future__ import annotations
@@ -77,9 +67,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from multiprocessing import connection
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.artifacts import (
     ArtifactCache,
@@ -91,24 +81,9 @@ from repro.experiments.runner import build_campaign_fleet
 from repro.hdl.batch_pool import BatchPool, BatchPoolOptions
 from repro.sweeps.faultinject import fault_context, fault_point
 from repro.sweeps.scenario import run_scenario
-from repro.sweeps.scheduler import (
-    FailureLog,
-    RetryPolicy,
-    SchedulerOptions,
-    default_owner,
-    error_info,
-)
-from repro.sweeps.spec import (
-    Scenario,
-    SweepSpec,
-    expand_scenarios,
-    scenario_config,
-)
+from repro.sweeps.scheduler import error_info
+from repro.sweeps.spec import Scenario, scenario_config
 from repro.sweeps.store import SweepStore
-
-#: Chunks per worker the pending list is split into (larger = better
-#: load balancing, smaller = better cache locality inside a chunk).
-CHUNKS_PER_WORKER = 4
 
 #: Scenarios prefetched into the batch pool per window when no
 #: artifact cache bounds fleet lifetimes (with one, the window is the
@@ -117,10 +92,14 @@ CHUNKS_PER_WORKER = 4
 #: while one window still spans enough campaigns to fill wide batches.
 POOL_PREFETCH_WINDOW = 8
 
+#: ``(scenario_id, error)`` for one finished attempt; ``error`` is
+#: None on success, else an :func:`~repro.sweeps.scheduler.error_info`.
+Outcome = Tuple[str, Optional[Dict[str, object]]]
+
 
 @dataclass
 class SweepReport:
-    """What one :func:`run_sweep` call did.
+    """What one :func:`repro.sweeps.run` call did.
 
     ``failed_ids`` are scenarios quarantined this run (retry budget
     exhausted; see ``failed/<id>.json`` under the store root for the
@@ -166,7 +145,7 @@ def _prefetch_into_pool(
     """Build every scenario's fleet and submit its simulation lanes.
 
     Returns ``{scenario_id: fleet}`` for fleets the artifact cache does
-    *not* own (no ``artifacts``) so the execution loop can hand them
+    *not* own (no ``artifacts``) so :class:`InlineAttempts` can hand them
     straight to :func:`~repro.sweeps.scenario.run_scenario`; cached
     fleets stay in the artifact cache (the campaign fetches them back
     by key, which stays correct even if the fleet LRU evicts one in
@@ -227,8 +206,8 @@ def _execute_attempt(
     scenario: Scenario,
     attempt: int,
     artifacts: Optional[ArtifactCache],
-    fleet,
-    pool: Optional[BatchPool],
+    fleet=None,
+    pool: Optional[BatchPool] = None,
 ) -> None:
     """One attempt: run the scenario and publish its result."""
     with fault_context(scenario.scenario_id, attempt):
@@ -240,126 +219,192 @@ def _execute_attempt(
         store.put(scenario.scenario_id, result["record"], result["arrays"])
 
 
-def _run_scenarios(
-    store_root: str,
-    scenarios: Sequence[Scenario],
-    artifacts: Optional[ArtifactCache] = None,
-    pool_options: Optional[BatchPoolOptions] = None,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> Tuple[List[str], List[str], List[str]]:
-    """Execute a batch of scenarios into the store.
+class InlineAttempts:
+    """Attempts on the calling thread, one at a time.
 
-    Returns ``(executed, failed, retried)`` scenario-id lists.  This is
-    the one execution body shared by the inline path (all pending
-    scenarios — one pool spans the whole sweep) and by each
-    multiprocess worker (its chunk — one pool spans the chunk).  With
-    a pool, scenarios are prefetched and executed in bounded *windows*
-    so that at most one window's worth of manufactured fleets is ever
-    alive (and, with an artifact cache, a window never overruns the
-    fleet LRU into guaranteed re-manufacture); the pool object itself
-    persists across windows, so its caches and stats span the sweep.
-
-    Each scenario is attempted up to ``retry.max_attempts`` times with
-    backoff; exhaustion quarantines it (``failed/<id>.json``) and the
-    remaining scenarios keep executing.
+    With a batch pool, the pending scenarios are prefetched and run in
+    bounded *windows* so that at most one window's worth of
+    manufactured fleets is ever alive (and, with an artifact cache, a
+    window never overruns the fleet LRU into guaranteed
+    re-manufacture); the pool itself persists across windows, so its
+    caches and stats span the sweep.  A retried attempt never gets a
+    prefetched fleet: if the failure left it in a dubious state, the
+    retry remanufactures.  There is no scenario timeout in process.
     """
-    store = SweepStore(store_root)
-    log = FailureLog(store_root)
-    owner = default_owner()
-    retry = retry or RetryPolicy()
-    scenarios = list(scenarios)
-    pool: Optional[BatchPool] = None
-    if pool_options is None:
-        window_size = max(len(scenarios), 1)
-    else:
-        pool = BatchPool(pool_options)
-        if artifacts is not None:
-            window_size = max(1, artifacts.options.max_fleets)
-        else:
-            window_size = POOL_PREFETCH_WINDOW
-    executed: List[str] = []
-    failed: List[str] = []
-    retried: List[str] = []
-    for start in range(0, len(scenarios), window_size):
-        window = scenarios[start:start + window_size]
-        fleets: dict = {}
-        if pool is not None:
-            fleets = _prefetch_into_pool(window, artifacts, pool)
-        for scenario in window:
-            scenario_id = scenario.scenario_id
-            fleet = fleets.pop(scenario_id, None)
-            failures = 0
-            while True:
-                attempt = log.record_attempt(scenario_id, owner)
-                try:
-                    _execute_attempt(
-                        store, scenario, attempt, artifacts, fleet, pool
-                    )
-                except Exception as error:  # noqa: BLE001 — quarantine path
-                    log.record_error(scenario_id, error_info(error))
-                    failures += 1
-                    if failures >= retry.max_attempts:
-                        log.quarantine(
-                            scenario, error_info(error), attempt, owner
-                        )
-                        failed.append(scenario_id)
-                        break
-                    if scenario_id not in retried:
-                        retried.append(scenario_id)
-                    # Drop the prefetched fleet: if the failure left it
-                    # in a dubious state, the retry remanufactures.
-                    fleet = None
-                    time.sleep(retry.delay(failures))
-                else:
-                    log.clear_quarantine(scenario_id)
-                    executed.append(scenario_id)
-                    if progress is not None:
-                        progress(scenario_id, True)
-                    break
-    return executed, failed, retried
 
+    capacity = 1
 
-def _pool_worker(
-    payload: Tuple[
-        str,
-        Tuple[Scenario, ...],
-        Optional[ArtifactOptions],
-        Optional[BatchPoolOptions],
-        Optional[RetryPolicy],
-    ]
-) -> Tuple[List[str], List[str], List[str]]:
-    """Module-level pool target (must be picklable on every start method).
-
-    Never lets an exception escape into ``imap_unordered`` — a
-    chunk-level catastrophe (store root unwritable, artifact tier
-    corrupt, ...) would otherwise abort the whole sweep and discard
-    every sibling chunk's progress report.  Instead the unfinished
-    scenarios of the chunk are quarantined and reported as failed.
-    """
-    store_root, scenarios, options, pool_options, retry = payload
-    try:
-        artifacts = process_artifact_cache(options) if options is not None else None
-        return _run_scenarios(
-            store_root, scenarios, artifacts, pool_options, retry=retry
+    def __init__(
+        self,
+        store_root: str,
+        scenarios: Sequence[Scenario],
+        artifacts: Optional[ArtifactOptions],
+        pool: Optional[BatchPoolOptions],
+    ):
+        self.store = SweepStore(store_root)
+        self.artifacts = (
+            process_artifact_cache(artifacts) if artifacts is not None else None
         )
-    except Exception as error:  # noqa: BLE001 — chunk-level catastrophe
-        store = SweepStore(store_root)
-        log = FailureLog(store_root)
-        owner = default_owner()
-        executed = [s.scenario_id for s in scenarios if store.has(s.scenario_id)]
-        failed = []
-        for scenario in scenarios:
-            if not store.has(scenario.scenario_id):
-                log.quarantine(scenario, error_info(error), 0, owner)
-                failed.append(scenario.scenario_id)
-        return executed, failed, []
+        self.pool = BatchPool(pool) if pool is not None else None
+        self.scenarios = list(scenarios)
+        if self.artifacts is not None:
+            self.window = max(1, self.artifacts.options.max_fleets)
+        else:
+            self.window = POOL_PREFETCH_WINDOW
+        self.position = {s.scenario_id: i for i, s in enumerate(self.scenarios)}
+        self.prefetched: set = set()
+        self.fleets: dict = {}
+        self.finished: List[Outcome] = []
+
+    def submit(self, scenario: Scenario, attempt: int) -> None:
+        fleet = None
+        if self.pool is not None:
+            window = self.position[scenario.scenario_id] // self.window
+            if window not in self.prefetched:
+                self.prefetched.add(window)
+                start = window * self.window
+                self.fleets = _prefetch_into_pool(
+                    self.scenarios[start:start + self.window],
+                    self.artifacts,
+                    self.pool,
+                )
+            fleet = self.fleets.pop(scenario.scenario_id, None)
+        try:
+            _execute_attempt(
+                self.store, scenario, attempt, self.artifacts, fleet, self.pool
+            )
+        except Exception as error:  # noqa: BLE001 — the supervisor retries
+            self.finished.append((scenario.scenario_id, error_info(error)))
+        else:
+            self.finished.append((scenario.scenario_id, None))
+
+    def wait(self, timeout: Optional[float]) -> List[Outcome]:
+        finished, self.finished = self.finished, []
+        if not finished and timeout:
+            time.sleep(timeout)  # backoff before a retry
+        return finished
+
+    def close(self) -> None:
+        """Nothing to reap: attempts ran on the calling thread."""
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _worker_main(conn, store_root: str, artifacts: Optional[ArtifactOptions]):
+    """Body of one long-lived worker: run attempts until the supervisor
+    kills it or its end of the pipe closes."""
+    store = SweepStore(store_root)
+    while True:
+        try:
+            scenario, attempt = conn.recv()
+        except EOFError:
+            return
+        try:
+            cache = process_artifact_cache(artifacts) if artifacts is not None else None
+            _execute_attempt(store, scenario, attempt, cache)
+        except Exception as error:  # noqa: BLE001 — reported to the supervisor
+            conn.send(error_info(error))
+        else:
+            conn.send(None)
+
+
+def _fork_context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (cheap, inherits warm caches); fall back to spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+@dataclass
+class _Worker:
+    process: multiprocessing.process.BaseProcess
+    conn: connection.Connection
+    scenario_id: Optional[str] = None
+
+
+class WorkerPool:
+    """``n_workers`` long-lived worker processes, one attempt each at a time."""
+
+    def __init__(
+        self, store_root: str, n_workers: int, artifacts: Optional[ArtifactOptions]
+    ):
+        self.args = (store_root, artifacts)
+        self.context = _fork_context()
+        self.workers = [self._spawn() for _ in range(n_workers)]
+        self.capacity = n_workers
+
+    def _spawn(self) -> _Worker:
+        conn, child = self.context.Pipe()
+        process = self.context.Process(
+            target=_worker_main, args=(child, *self.args), daemon=True
+        )
+        process.start()
+        child.close()  # the parent end now reads EOF once the worker dies
+        return _Worker(process, conn)
+
+    def _replace(self, index: int) -> int:
+        """Kill and reap worker ``index``, fork its replacement; returns
+        the dead worker's exit code."""
+        worker = self.workers[index]
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+        self.workers[index] = self._spawn()
+        return worker.process.exitcode
+
+    def submit(self, scenario: Scenario, attempt: int) -> None:
+        worker = next(w for w in self.workers if w.scenario_id is None)
+        worker.scenario_id = scenario.scenario_id
+        try:
+            worker.conn.send((scenario, attempt))
+        except OSError:
+            pass  # the worker died while idle: wait() reports the crash
+
+    def wait(self, timeout: Optional[float]) -> List[Outcome]:
+        busy = [w for w in self.workers if w.scenario_id is not None]
+        if not busy:
+            if timeout:
+                time.sleep(timeout)
+            return []
+        ready = set(
+            connection.wait(
+                [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                timeout,
+            )
+        )
+        finished: List[Outcome] = []
+        for index, worker in enumerate(list(self.workers)):
+            if worker.scenario_id is None or not (
+                worker.conn in ready or worker.process.sentinel in ready
+            ):
+                continue
+            try:
+                error = worker.conn.recv()
+            except (EOFError, OSError):
+                exitcode = self._replace(index)
+                error = {
+                    "type": "WorkerCrash",
+                    "message": (
+                        f"worker process died with exit code {exitcode} "
+                        "before completing the attempt"
+                    ),
+                    "traceback": "",
+                }
+            finished.append((worker.scenario_id, error))
+            worker.scenario_id = None
+        return finished
+
+    def kill(self, scenario_id: str) -> None:
+        """Kill the worker running ``scenario_id`` and replace it."""
+        for index, worker in enumerate(self.workers):
+            if worker.scenario_id == scenario_id:
+                self._replace(index)
+                return
+
+    def close(self) -> None:
+        """Kill and reap every worker (idle ones hold no state)."""
+        for worker in self.workers:
+            worker.process.kill()
+        for worker in self.workers:
+            worker.process.join()
+            worker.conn.close()
 
 
 def default_workers() -> int:
@@ -367,130 +412,9 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) // 2)
 
 
-def _plain_sweep(
-    spec: SweepSpec,
-    store: SweepStore,
-    n_workers: int = 1,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts: Optional[ArtifactOptions] = None,
-    pool: Optional[BatchPoolOptions] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> SweepReport:
-    """The in-process execution strategy behind :func:`repro.sweeps.run`.
-
-    ``progress`` (if given) is called as ``progress(scenario_id,
-    executed)`` once per scenario — immediately for cache hits, on
-    completion for executed ones (chunk-batched under multiprocess
-    execution).  ``artifacts`` enables cross-scenario artifact sharing
-    and campaign-outcome memoisation; ``pool`` enables the shared
-    cross-campaign batch pool (see the module docstring) — results are
-    byte-identical with either on or off.
-
-    ``retry`` bounds per-scenario attempts and backoff (default: the
-    stock :class:`~repro.sweeps.scheduler.RetryPolicy`); a scenario
-    that exhausts it is quarantined and the sweep continues.  Returns
-    a :class:`SweepReport`; aggregate results are read back from the
-    store (see :mod:`repro.sweeps.aggregate`).
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    scenarios = expand_scenarios(spec)
-    report = SweepReport(
-        spec_name=spec.name,
-        store_root=store.root,
-        scenario_ids=[s.scenario_id for s in scenarios],
-        n_workers=n_workers,
-    )
-    pending: List[Scenario] = []
-    for scenario in scenarios:
-        if store.has(scenario.scenario_id):
-            report.cached_ids.append(scenario.scenario_id)
-            if progress is not None:
-                progress(scenario.scenario_id, False)
-        else:
-            pending.append(scenario)
-
-    if not pending:
-        return report
-
-    if n_workers == 1 or len(pending) == 1:
-        cache = process_artifact_cache(artifacts) if artifacts is not None else None
-        executed, failed, retried = _run_scenarios(
-            store.root, pending, cache, pool, progress=progress, retry=retry
-        )
-        report.executed_ids.extend(executed)
-        report.failed_ids.extend(failed)
-        report.retried_ids.extend(retried)
-    else:
-        n_procs = min(n_workers, len(pending))
-        chunksize = max(1, len(pending) // (n_procs * CHUNKS_PER_WORKER))
-        chunks = [
-            tuple(pending[start:start + chunksize])
-            for start in range(0, len(pending), chunksize)
-        ]
-        payloads = [
-            (store.root, chunk, artifacts, pool, retry) for chunk in chunks
-        ]
-        with _pool_context().Pool(processes=n_procs) as worker_pool:
-            for executed, failed, retried in worker_pool.imap_unordered(
-                _pool_worker, payloads, chunksize=1
-            ):
-                report.executed_ids.extend(executed)
-                report.failed_ids.extend(failed)
-                report.retried_ids.extend(retried)
-                if progress is not None:
-                    for scenario_id in executed:
-                        progress(scenario_id, True)
-    # Keep reporting deterministic regardless of completion order.
-    report.executed_ids.sort()
-    report.failed_ids.sort()
-    report.retried_ids.sort()
-    return report
-
-
-def run_sweep(
-    spec: SweepSpec,
-    store: SweepStore,
-    n_workers: int = 1,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts: Optional[ArtifactOptions] = None,
-    pool: Optional[BatchPoolOptions] = None,
-    retry: Optional[RetryPolicy] = None,
-    scheduler: Optional[SchedulerOptions] = None,
-) -> SweepReport:
-    """Deprecated alias of :func:`repro.sweeps.run`.
-
-    Behaviour is unchanged (byte-identical stores, pinned by test):
-    the keyword set maps one-to-one onto
-    :class:`~repro.sweeps.api.SweepOptions` and the call routes
-    through the unified facade.  New code should call
-    ``repro.sweeps.run(spec, store, SweepOptions(...))``.
-    """
-    warnings.warn(
-        "run_sweep() is deprecated; use repro.sweeps.run(spec, store, "
-        "SweepOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sweeps.api import SweepOptions, run
-
-    return run(
-        spec,
-        store,
-        SweepOptions(
-            n_workers=n_workers,
-            artifacts=artifacts,
-            pool=pool,
-            retry=retry,
-            scheduler=scheduler,
-        ),
-        progress=progress,
-    )
-
-
 __all__ = [
-    "CHUNKS_PER_WORKER",
+    "InlineAttempts",
     "SweepReport",
+    "WorkerPool",
     "default_workers",
-    "run_sweep",
 ]

@@ -1,36 +1,51 @@
-"""Lease-based, fault-tolerant scheduling of sweep scenarios.
+"""The one sweep execution loop: leases, attempts, retries, quarantine.
 
-This is the robustness substrate under distributed sweep execution:
-many scheduler instances (processes or machines) point at one shared
-:class:`~repro.sweeps.store.SweepStore` root and together execute a
-sweep, surviving worker death, stalls, and repeated failures.
+:func:`supervise` runs every sweep.  It splits a spec's scenarios into
+cached and pending, numbers and records each attempt, retries failures
+with backoff, quarantines scenarios that exhaust their budget, calls
+the progress callback and builds the
+:class:`~repro.sweeps.executor.SweepReport`.  Attempts run in one of
+two places (:mod:`repro.sweeps.executor`):
+
+* **in process**, on the calling thread, when ``n_workers == 1`` and
+  no :class:`SchedulerOptions` is given — with the artifact cache and
+  the batch-pool prefetch windows;
+* on **long-lived worker processes** in every other case: at most one
+  per pending scenario, forked once per run, each running one attempt
+  at a time.  A worker that crashes or passes its scenario timeout is
+  killed and replaced; the attempt counts as failed.
 
 Work units and leases
 ---------------------
 
-The unit of work is one scenario digest.  Before executing a digest,
-a scheduler claims an *atomic lease file*
+The unit of work is one scenario digest.  Before the worker path runs
+a digest, the supervisor claims an *atomic lease file*
 (``<root>/.leases/<id>.lease`` — a fully written temp file hard-linked
 into place, so exactly one claimant wins and nobody reads a half-written
 lease) recording the owner id, a heartbeat timestamp and
-the lease TTL.  While an attempt runs, the scheduler heartbeats the
-lease; a lease whose heartbeat is older than its TTL is *stale* and
-any scheduler may reclaim it — a dead worker's scenarios are re-leased
-automatically.  Leases are an efficiency mechanism, not a correctness
-one: if a paused-but-alive owner is reclaimed and the digest executes
-twice, both executions produce byte-identical results and publish them
-with atomic, idempotent renames, so the store cannot diverge.
+the lease TTL.  While an attempt runs, the supervisor heartbeats the
+lease every ``lease_ttl / 4``; a lease whose heartbeat is older than
+its TTL is *stale* and any run may reclaim it — a dead instance's
+scenarios are re-leased automatically.  Leases are an efficiency
+mechanism, not a correctness one: if a paused-but-alive owner is
+reclaimed and the digest executes twice, both executions produce
+byte-identical results and publish them with atomic, idempotent
+renames, so the store cannot diverge.  The in-process path takes no
+leases.
+
+The supervisor never polls: it blocks on the workers' pipes and
+process sentinels until the nearest heartbeat, attempt deadline,
+retry due time or status line.  Only a pending scenario leased by
+another owner is re-checked on a fixed interval
+(:data:`LEASE_RECHECK_INTERVAL`).
 
 Attempts, retries, quarantine
 -----------------------------
 
-Each attempt runs in a *child process* (so a crash — ``os._exit``,
-SIGKILL, OOM — kills the attempt, never the scheduler) with an
-optional wall-clock timeout after which it is killed.  Failed attempts
-are recorded in ``<root>/.attempts/<id>.json`` (a persistent history:
-attempt numbers survive scheduler restarts, which keeps seeded fault
-plans deterministic across reruns) and retried with exponential
-backoff up to :attr:`RetryPolicy.max_attempts` per scheduler run.  A
+Attempts are recorded in ``<root>/.attempts/<id>.json`` (a persistent
+history: attempt numbers survive restarts, which keeps seeded fault
+plans deterministic across reruns) and failures are retried with
+exponential backoff up to :attr:`RetryPolicy.max_attempts` per run.  A
 scenario that exhausts its attempts is *quarantined*: a
 ``<root>/failed/<id>.json`` record (exception type, message,
 traceback, attempt count) is written and the sweep **continues** —
@@ -39,9 +54,9 @@ run re-attempts quarantined scenarios with a fresh budget and clears
 the quarantine record on success, so resume converges once the cause
 is gone.
 
-The standing invariant, now tested *under faults*
+The standing invariant, tested *under faults*
 (:mod:`repro.sweeps.faultinject`): any interleaving of crashes,
-retries, timeouts and concurrent schedulers yields a result store
+retries, timeouts and concurrent runs yields a result store
 byte-identical to a clean 1-worker run.  Operational metadata
 (``.leases/``, ``.attempts/``, ``failed/``) lives beside the results
 and is excluded from that identity by construction — result files are
@@ -53,23 +68,30 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import multiprocessing
+import math
 import os
 import socket
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.sweeps.faultinject import fault_context, fault_point
 from repro.sweeps.spec import Scenario, SweepSpec, expand_scenarios
 from repro.sweeps.store import SweepStore
+
+if TYPE_CHECKING:  # imported lazily at call time to avoid module cycles
+    from repro.sweeps.api import SweepOptions
+    from repro.sweeps.executor import SweepReport
 
 #: Subdirectories of the store root holding operational metadata.
 LEASE_DIR = ".leases"
 ATTEMPT_DIR = ".attempts"
 FAILED_DIR = "failed"
+
+#: Seconds between re-checks of a pending scenario whose lease another
+#: owner holds: the one wait of the supervisor that is not event-driven.
+LEASE_RECHECK_INTERVAL = 0.05
 
 _logger = logging.getLogger(__name__)
 
@@ -77,6 +99,13 @@ _logger = logging.getLogger(__name__)
 def default_owner() -> str:
     """A unique owner id for one scheduler instance."""
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+
+
+def _require_finite(**values: Optional[float]) -> None:
+    """Reject NaN and infinite option values (None is allowed)."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +124,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        _require_finite(
+            backoff_base=self.backoff_base,
+            backoff_factor=self.backoff_factor,
+            backoff_max=self.backoff_max,
+        )
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ValueError("backoff delays must be >= 0")
         if self.backoff_factor < 1.0:
@@ -112,37 +146,34 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class SchedulerOptions:
-    """Tuning knobs of one :func:`run_scheduled_sweep` instance."""
+    """Lease and worker knobs of one sweep run.
+
+    Setting these on :class:`~repro.sweeps.api.SweepOptions` runs the
+    sweep on leased worker processes even with one worker.  The
+    heartbeat period is always ``lease_ttl / 4``.
+    """
 
     #: Seconds without a heartbeat after which a lease is stale.
     lease_ttl: float = 30.0
-    #: Heartbeat period while an attempt runs (default: ``lease_ttl/4``).
-    heartbeat_interval: Optional[float] = None
-    #: Scheduler loop sleep when nothing is runnable.
-    poll_interval: float = 0.05
     #: Kill any single attempt after this many seconds (None = never).
     scenario_timeout: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Owner id (default: a fresh ``host:pid:uuid`` per run).
-    owner: Optional[str] = None
     #: Seconds between periodic progress log lines (INFO on this
     #: module's logger, rendered by the shared
     #: :func:`repro.sweeps.status.render_status` snapshot; None = off).
     status_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            lease_ttl=self.lease_ttl,
+            scenario_timeout=self.scenario_timeout,
+            status_interval=self.status_interval,
+        )
         if self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be > 0")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0")
         if self.scenario_timeout is not None and self.scenario_timeout <= 0:
             raise ValueError("scenario_timeout must be > 0")
         if self.status_interval is not None and self.status_interval <= 0:
             raise ValueError("status_interval must be > 0")
-
-    @property
-    def effective_heartbeat(self) -> float:
-        return self.heartbeat_interval or self.lease_ttl / 4.0
 
 
 def _atomic_write_json(path: str, payload: object) -> None:
@@ -298,11 +329,6 @@ class FailureLog:
     def failed_path(self, scenario_id: str) -> str:
         return os.path.join(self.failed_dir, f"{scenario_id}.json")
 
-    def error_scratch_path(self, scenario_id: str, attempt: int) -> str:
-        return os.path.join(
-            self.attempts_dir, f"{scenario_id}.err-{attempt}.json"
-        )
-
     # -- attempts --------------------------------------------------------
 
     def history(self, scenario_id: str) -> List[dict]:
@@ -315,8 +341,8 @@ class FailureLog:
     def record_attempt(self, scenario_id: str, owner: str) -> int:
         """Append an attempt-start entry; returns its 1-based number.
 
-        Only the lease holder (or the single executor thread working
-        this digest) writes here, so read-modify-write is safe.
+        Only the lease holder (or the in-process run working this
+        digest) writes here, so read-modify-write is safe.
         """
         os.makedirs(self.attempts_dir, exist_ok=True)
         history = self.history(scenario_id)
@@ -376,7 +402,12 @@ class FailureLog:
             pass
 
     def scrub(self, store: SweepStore) -> List[str]:
-        """Remove scratch error files and quarantines of completed work."""
+        """Remove scratch files and quarantines of completed work.
+
+        ``.err-*`` files are error scratch files written by older
+        versions of this module; roots that still carry them are
+        cleaned too.
+        """
         removed: List[str] = []
         if os.path.isdir(self.attempts_dir):
             for entry in sorted(os.listdir(self.attempts_dir)):
@@ -392,129 +423,86 @@ class FailureLog:
         return removed
 
 
-# -- child-process attempt execution --------------------------------------
-
-#: Child exit code for a failure that was caught and written to the
-#: error scratch file (anything else without a scratch file = crash).
-HANDLED_FAILURE_EXIT = 3
-
-
-def _attempt_child(
-    store_root: str,
-    scenario: Scenario,
-    attempt: int,
-    artifact_options,
-    error_path: str,
-) -> None:
-    """Run one attempt to completion inside a dedicated process.
-
-    Success is communicated through the store itself (the record file
-    appears); handled failures through ``error_path``; crashes through
-    the exit code alone.
-    """
-    from repro.sweeps.scenario import run_scenario
-
-    try:
-        artifacts = None
-        if artifact_options is not None:
-            from repro.experiments.artifacts import process_artifact_cache
-
-            artifacts = process_artifact_cache(artifact_options)
-        store = SweepStore(store_root)
-        with fault_context(scenario.scenario_id, attempt):
-            fault_point("scenario.pre")
-            result = run_scenario(scenario, artifacts=artifacts)
-            fault_point("scenario.post")
-            store.put(
-                scenario.scenario_id, result["record"], result["arrays"]
-            )
-    except Exception as error:  # noqa: BLE001 — the whole point
-        _atomic_write_json(error_path, error_info(error))
-        os._exit(HANDLED_FAILURE_EXIT)
+# -- the supervisor loop ---------------------------------------------------
 
 
 @dataclass
 class _Running:
-    process: multiprocessing.process.BaseProcess
+    """One attempt in flight: its deadline and next lease heartbeat."""
+
     scenario: Scenario
     attempt: int
-    error_path: str
-    deadline: Optional[float]
+    deadline: float
     next_heartbeat: float
 
 
-def _scheduled_sweep(
+def supervise(
     spec: SweepSpec,
     store: SweepStore,
-    options: Optional[SchedulerOptions] = None,
-    n_workers: int = 1,
+    options: "SweepOptions",
     progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts=None,
-):
-    """Execute every missing scenario of ``spec`` under lease scheduling.
+) -> "SweepReport":
+    """Execute every missing scenario of ``spec`` into ``store``.
 
-    This is the lease-based execution strategy behind the unified
-    :func:`repro.sweeps.run` facade (selected by
-    :attr:`~repro.sweeps.api.SweepOptions.scheduler`); the historical
-    :func:`run_scheduled_sweep` entry point survives as a deprecated
-    alias.
+    The loop behind :func:`repro.sweeps.run` (see the module
+    docstring for where attempts run).  On the worker path it is safe
+    to run concurrently with other runs (other processes, other
+    machines over a shared filesystem) on the same store root: leases
+    keep the instances off each other's work, stale-lease reclamation
+    absorbs dead instances, and the store's idempotent atomic writes
+    make even a duplicated execution harmless.  Scenarios completed by
+    *another* run while this one waited are reported as cached.
 
-    Safe to run concurrently with other ``run_scheduled_sweep`` calls
-    (other processes, other machines over a shared filesystem) on the
-    same store root: leases keep the instances off each other's work,
-    stale-lease reclamation absorbs dead instances, and the store's
-    idempotent atomic writes make even a duplicated execution
-    harmless.  Each attempt runs in a child process, so worker crashes
-    and timeouts are contained and retried per :class:`RetryPolicy`;
-    scenarios that exhaust their budget are quarantined under
-    ``failed/`` and the sweep continues.
-
-    Returns the same :class:`~repro.sweeps.executor.SweepReport` as
-    :func:`~repro.sweeps.executor.run_sweep`, with ``failed_ids`` /
-    ``retried_ids`` filled in.  Scenarios completed by *another*
-    scheduler while this one waited are reported as cached.
-
-    ``artifacts`` (an :class:`~repro.experiments.artifacts
-    .ArtifactOptions`) is forwarded to each attempt child; the on-disk
-    artifact tier is the sharing vehicle across attempts and
-    schedulers.  The cross-campaign batch pool does not apply here —
-    each attempt is deliberately isolated in its own process.
+    Every worker process is reaped before this returns, also when an
+    attempt or the ``progress`` callback raised.
     """
-    from repro.sweeps.executor import SweepReport, _pool_context
+    from repro.sweeps.executor import InlineAttempts, SweepReport, WorkerPool
 
-    options = options or SchedulerOptions()
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    owner = options.owner or default_owner()
-    leases = LeaseManager(store.root, options.lease_ttl, owner)
+    in_process = options.n_workers == 1 and options.scheduler is None
+    scheduler = options.scheduler or SchedulerOptions()
+    retry = options.retry or RetryPolicy()
+    owner = default_owner()
     log = FailureLog(store.root)
-    ctx = _pool_context()
-
     scenarios = expand_scenarios(spec)
     report = SweepReport(
         spec_name=spec.name,
         store_root=store.root,
         scenario_ids=[s.scenario_id for s in scenarios],
-        n_workers=n_workers,
+        n_workers=options.n_workers,
     )
     pending: Dict[str, Scenario] = {}
-    for scenario in scenarios:
-        if store.has(scenario.scenario_id):
-            report.cached_ids.append(scenario.scenario_id)
-            if progress is not None:
-                progress(scenario.scenario_id, False)
-        else:
-            pending[scenario.scenario_id] = scenario
 
+    def settle(scenario_id: str, executed: bool) -> None:
+        del pending[scenario_id]
+        (report.executed_ids if executed else report.cached_ids).append(scenario_id)
+        if progress is not None:
+            progress(scenario_id, executed)
+
+    for scenario in scenarios:
+        pending[scenario.scenario_id] = scenario
+        if store.has(scenario.scenario_id):
+            settle(scenario.scenario_id, False)
+    if not pending:
+        return report
+
+    if in_process:
+        leases = None
+        attempts = InlineAttempts(
+            store.root, list(pending.values()), options.artifacts, options.pool
+        )
+    else:
+        leases = LeaseManager(store.root, scheduler.lease_ttl, owner)
+        attempts = WorkerPool(
+            store.root, min(options.n_workers, len(pending)), options.artifacts
+        )
+    heartbeat = scheduler.lease_ttl / 4.0 if leases is not None else math.inf
+    timeout = scheduler.scenario_timeout or math.inf
     running: Dict[str, _Running] = {}
-    failures_this_run: Dict[str, int] = {}
-    next_due: Dict[str, float] = {}
+    failures: Dict[str, int] = {}
+    due: Dict[str, float] = {}
     retried: set = set()
-    next_status = (
-        time.monotonic() + options.status_interval
-        if options.status_interval is not None
-        else None
-    )
+    status_interval = scheduler.status_interval or math.inf
+    next_status = time.monotonic() + status_interval
 
     def log_status() -> None:
         # Lazy import: repro.sweeps.status builds on this module.
@@ -523,187 +511,104 @@ def _scheduled_sweep(
         snapshot = sweep_status(
             store.root,
             scenario_ids=report.scenario_ids,
-            lease_ttl=options.lease_ttl,
+            lease_ttl=scheduler.lease_ttl,
         )
         _logger.info("sweep %r [%s]: %s", spec.name, owner, render_status(snapshot))
 
-    def read_error(run: _Running) -> Dict[str, object]:
-        try:
-            with open(run.error_path) as handle:
-                error = json.load(handle)
-        except (FileNotFoundError, ValueError):
-            error = {
-                "type": "WorkerCrash",
-                "message": (
-                    "attempt process died with exit code "
-                    f"{run.process.exitcode} before completing"
-                ),
-                "traceback": "",
-            }
-        try:
-            os.unlink(run.error_path)
-        except FileNotFoundError:
-            pass
-        return error
-
-    def finished_elsewhere(scenario_id: str) -> None:
-        del pending[scenario_id]
-        report.cached_ids.append(scenario_id)
-        if progress is not None:
-            progress(scenario_id, False)
-
-    def attempt_failed(scenario_id: str, run: _Running, error) -> None:
-        log.record_error(scenario_id, error)
-        leases.release(scenario_id)
-        del running[scenario_id]
-        failures = failures_this_run.get(scenario_id, 0) + 1
-        failures_this_run[scenario_id] = failures
-        if failures >= options.retry.max_attempts:
+    def finish(scenario_id: str, error: Optional[Dict[str, object]]) -> None:
+        run = running.pop(scenario_id)
+        if error is not None:
+            log.record_error(scenario_id, error)
+        if leases is not None:
+            leases.release(scenario_id)
+        if error is None:
+            log.clear_quarantine(scenario_id)
+            settle(scenario_id, True)
+            return
+        failures[scenario_id] = failures.get(scenario_id, 0) + 1
+        if failures[scenario_id] >= retry.max_attempts:
             log.quarantine(run.scenario, error, run.attempt, owner)
             report.failed_ids.append(scenario_id)
             del pending[scenario_id]
         else:
             retried.add(scenario_id)
-            next_due[scenario_id] = time.monotonic() + options.retry.delay(failures)
+            due[scenario_id] = time.monotonic() + retry.delay(failures[scenario_id])
 
-    while pending:
-        progressed = False
+    try:
+        while pending:
+            # Start due, claimable scenarios on free capacity.
+            now = time.monotonic()
+            for scenario_id, scenario in list(pending.items()):
+                if len(running) >= attempts.capacity:
+                    break
+                if scenario_id in running or now < due.get(scenario_id, 0.0):
+                    continue
+                due.pop(scenario_id, None)
+                if store.has(scenario_id):
+                    settle(scenario_id, False)  # another run finished it
+                    continue
+                if leases is not None:
+                    if not leases.acquire(scenario_id):
+                        # A live owner is on it: look again shortly.
+                        due[scenario_id] = now + LEASE_RECHECK_INTERVAL
+                        continue
+                    if store.has(scenario_id):
+                        # Published and released between the check above
+                        # and our claim: it must not run a second time.
+                        leases.release(scenario_id)
+                        settle(scenario_id, False)
+                        continue
+                attempt = log.record_attempt(scenario_id, owner)
+                start = time.monotonic()
+                running[scenario_id] = _Running(
+                    scenario, attempt, start + timeout, start + heartbeat
+                )
+                attempts.submit(scenario, attempt)
 
-        # Reap / supervise running attempts.
-        for scenario_id in list(running):
-            run = running[scenario_id]
-            if run.process.is_alive():
-                now = time.monotonic()
-                if run.deadline is not None and now >= run.deadline:
-                    run.process.kill()
-                    run.process.join()
-                    attempt_failed(
+            # Block until an attempt ends or the nearest timer fires.
+            wake = [next_status]
+            wake += [min(r.deadline, r.next_heartbeat) for r in running.values()]
+            if len(running) < attempts.capacity:
+                wake += due.values()
+            nearest = min(wake)
+            wait = None if nearest == math.inf else max(0.0, nearest - time.monotonic())
+            for scenario_id, error in attempts.wait(wait):
+                finish(scenario_id, error)
+
+            now = time.monotonic()
+            for scenario_id, run in list(running.items()):
+                if now >= run.deadline:
+                    attempts.kill(scenario_id)
+                    finish(
                         scenario_id,
-                        run,
                         {
                             "type": "ScenarioTimeout",
                             "message": (
                                 "attempt exceeded the scenario timeout of "
-                                f"{options.scenario_timeout}s and was killed"
+                                f"{scheduler.scenario_timeout}s and was killed"
                             ),
                             "traceback": "",
                         },
                     )
-                    progressed = True
                 elif now >= run.next_heartbeat:
                     leases.heartbeat(scenario_id)
-                    run.next_heartbeat = now + options.effective_heartbeat
-                continue
-            run.process.join()
-            if store.has(scenario_id):
+                    run.next_heartbeat = now + heartbeat
+            if now >= next_status:
+                log_status()
+                next_status = now + status_interval
+    finally:
+        attempts.close()
+        if leases is not None:
+            for scenario_id in running:
                 leases.release(scenario_id)
-                log.clear_quarantine(scenario_id)
-                del running[scenario_id]
-                del pending[scenario_id]
-                report.executed_ids.append(scenario_id)
-                if progress is not None:
-                    progress(scenario_id, True)
-            else:
-                attempt_failed(scenario_id, run, read_error(run))
-            progressed = True
 
-        # Fill free worker slots with due, claimable scenarios.
-        now = time.monotonic()
-        for scenario_id, scenario in list(pending.items()):
-            if len(running) >= n_workers:
-                break
-            if scenario_id in running:
-                continue
-            if now < next_due.get(scenario_id, 0.0):
-                continue
-            if store.has(scenario_id):
-                # Another scheduler finished it while we waited.
-                finished_elsewhere(scenario_id)
-                progressed = True
-                continue
-            if not leases.acquire(scenario_id):
-                continue  # a live owner is on it; wait or reclaim later
-            if store.has(scenario_id):
-                # Published and released between the check above and
-                # our claim: it must not run a second time.
-                leases.release(scenario_id)
-                finished_elsewhere(scenario_id)
-                progressed = True
-                continue
-            attempt = log.record_attempt(scenario_id, owner)
-            error_path = log.error_scratch_path(scenario_id, attempt)
-            process = ctx.Process(
-                target=_attempt_child,
-                args=(store.root, scenario, attempt, artifacts, error_path),
-            )
-            process.start()
-            start = time.monotonic()
-            running[scenario_id] = _Running(
-                process=process,
-                scenario=scenario,
-                attempt=attempt,
-                error_path=error_path,
-                deadline=(
-                    start + options.scenario_timeout
-                    if options.scenario_timeout is not None
-                    else None
-                ),
-                next_heartbeat=start + options.effective_heartbeat,
-            )
-            progressed = True
-
-        if next_status is not None and time.monotonic() >= next_status:
-            log_status()
-            next_status = time.monotonic() + options.status_interval
-
-        if pending and not progressed:
-            time.sleep(options.poll_interval)
-
-    if next_status is not None:
+    if scheduler.status_interval is not None:
         log_status()
     report.executed_ids.sort()
     report.cached_ids.sort()
     report.failed_ids.sort()
     report.retried_ids.extend(sorted(retried))
     return report
-
-
-def run_scheduled_sweep(
-    spec: SweepSpec,
-    store: SweepStore,
-    options: Optional[SchedulerOptions] = None,
-    n_workers: int = 1,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts=None,
-):
-    """Deprecated alias of :func:`repro.sweeps.run` with lease scheduling.
-
-    Behaviour is unchanged (byte-identical stores, pinned by test):
-    the call routes through the unified facade with
-    ``SweepOptions(scheduler=options or SchedulerOptions())``.  New
-    code should call ``repro.sweeps.run(spec, store,
-    SweepOptions(scheduler=SchedulerOptions(...), ...))``.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_scheduled_sweep() is deprecated; use repro.sweeps.run(spec, "
-        "store, SweepOptions(scheduler=SchedulerOptions(...))) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sweeps.api import SweepOptions, run
-
-    return run(
-        spec,
-        store,
-        SweepOptions(
-            n_workers=n_workers,
-            artifacts=artifacts,
-            scheduler=options or SchedulerOptions(),
-        ),
-        progress=progress,
-    )
 
 
 __all__ = [
@@ -716,5 +621,5 @@ __all__ = [
     "SchedulerOptions",
     "default_owner",
     "error_info",
-    "run_scheduled_sweep",
+    "supervise",
 ]

@@ -462,7 +462,7 @@ def expand_scenarios(spec: SweepSpec) -> List[Scenario]:
     Grid order is the cartesian product in axis-declaration order
     (rightmost axis fastest); random draws come last.  Neighbouring
     scenarios tend to share a fleet structure, which keeps the
-    process-wide activity/program caches hot inside each worker chunk.
+    process-wide activity/program caches hot inside each worker.
     """
     grid_values = [
         [(axis.field, value) for value in axis.values] for axis in spec.grid

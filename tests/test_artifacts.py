@@ -35,7 +35,7 @@ from repro.experiments.designs import build_paper_ip
 from repro.experiments.runner import CampaignConfig, run_campaign
 from repro.power.models import PowerModel
 from repro.power.noise import DRIFT_BLOCK_ROWS, NoiseModel
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
 from repro.acquisition.device import Device
 
 
@@ -573,9 +573,9 @@ class TestSweepSharingByteIdentity:
         spec = sharing_spec(attacks=("none", "strip"))
         plain = SweepStore(str(tmp_path / f"plain{n_workers}"))
         shared = SweepStore(str(tmp_path / f"shared{n_workers}"))
-        run_sweep(spec, plain, n_workers=n_workers)
-        run_sweep(
-            spec, shared, n_workers=n_workers, artifacts=ArtifactOptions()
+        run(spec, plain, SweepOptions(n_workers=n_workers))
+        run(
+            spec, shared, SweepOptions(n_workers=n_workers, artifacts=ArtifactOptions())
         )
         assert store_digests(plain.root) == store_digests(shared.root)
 
@@ -583,12 +583,13 @@ class TestSweepSharingByteIdentity:
         spec = sharing_spec()
         memory = SweepStore(str(tmp_path / "memory"))
         disk = SweepStore(str(tmp_path / "disk"))
-        run_sweep(spec, memory, n_workers=1, artifacts=ArtifactOptions())
-        run_sweep(
+        run(spec, memory, SweepOptions(n_workers=1, artifacts=ArtifactOptions()))
+        run(
             spec,
             disk,
-            n_workers=1,
-            artifacts=ArtifactOptions(root=str(tmp_path / "tier")),
+            SweepOptions(
+                n_workers=1, artifacts=ArtifactOptions(root=str(tmp_path / "tier"))
+            ),
         )
         assert store_digests(memory.root) == store_digests(disk.root)
         # The tier actually persisted trace artifacts.
@@ -601,8 +602,8 @@ class TestSweepSharingByteIdentity:
         spec = sharing_spec(pinned=False)
         plain = SweepStore(str(tmp_path / "plain"))
         shared = SweepStore(str(tmp_path / "shared"))
-        run_sweep(spec, plain, n_workers=1)
-        run_sweep(spec, shared, n_workers=1, artifacts=ArtifactOptions())
+        run(spec, plain, SweepOptions(n_workers=1))
+        run(spec, shared, SweepOptions(n_workers=1, artifacts=ArtifactOptions()))
         assert store_digests(plain.root) == store_digests(shared.root)
 
     def test_sharing_skips_redundant_acquisition(self, tmp_path):
@@ -610,7 +611,7 @@ class TestSweepSharingByteIdentity:
         try:
             spec = sharing_spec()  # 4 scenarios, one measurement tier
             store = SweepStore(str(tmp_path / "store"))
-            run_sweep(spec, store, n_workers=1, artifacts=ArtifactOptions())
+            run(spec, store, SweepOptions(n_workers=1, artifacts=ArtifactOptions()))
             cache = process_artifact_cache()
             assert cache.stats.fleet_misses == 1
             assert cache.stats.trace_misses == 8  # one fleet's worth

@@ -34,7 +34,7 @@ from repro.core.process import ProcessParameters
 from repro.hdl import DRegister, Netlist, Simulator, TransitionTable
 from repro.hdl.batch_pool import BatchPool, BatchPoolOptions
 from repro.power.models import PowerModel
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
 from repro.sweeps.scenario import outcome_arrays, outcome_metrics
 
 QUICK = ProcessParameters(k=4, m=4, n1=32, n2=64)
@@ -351,38 +351,38 @@ class TestPooledSweepByteIdentity:
     def test_pool_memo_and_budgets_keep_store_digests(self, tmp_path):
         spec = pooled_sweep_spec()
         plain = SweepStore(str(tmp_path / "plain"))
-        run_sweep(spec, plain, n_workers=1)
+        run(spec, plain, SweepOptions(n_workers=1))
         reference = store_digests(plain.root)
 
         pooled = SweepStore(str(tmp_path / "pooled"))
-        run_sweep(spec, pooled, n_workers=1, pool=BatchPoolOptions())
+        run(spec, pooled, SweepOptions(n_workers=1, pool=BatchPoolOptions()))
         assert store_digests(pooled.root) == reference
 
         # Tiny lane budget: the prefetch flushes repeatedly mid-wave.
         budget = SweepStore(str(tmp_path / "budget"))
-        run_sweep(
-            spec, budget, n_workers=1, pool=BatchPoolOptions(max_lanes=2)
+        run(
+            spec, budget, SweepOptions(n_workers=1, pool=BatchPoolOptions(max_lanes=2))
         )
         assert store_digests(budget.root) == reference
 
         shared = SweepStore(str(tmp_path / "shared"))
-        run_sweep(
+        run(
             spec,
             shared,
-            n_workers=1,
-            pool=BatchPoolOptions(),
-            artifacts=ArtifactOptions(),
+            SweepOptions(
+                n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()
+            ),
         )
         assert store_digests(shared.root) == reference
 
         # Repeat study: same spec, fresh store, warm outcome memo.
         repeat = SweepStore(str(tmp_path / "repeat"))
-        report = run_sweep(
+        report = run(
             spec,
             repeat,
-            n_workers=1,
-            pool=BatchPoolOptions(),
-            artifacts=ArtifactOptions(),
+            SweepOptions(
+                n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()
+            ),
         )
         assert report.n_executed == spec.n_scenarios
         assert store_digests(repeat.root) == reference
@@ -409,21 +409,21 @@ class TestPooledSweepByteIdentity:
         )
         assert spec.n_scenarios == 12
         plain = SweepStore(str(tmp_path / "plain"))
-        run_sweep(spec, plain, n_workers=1)
+        run(spec, plain, SweepOptions(n_workers=1))
         pooled = SweepStore(str(tmp_path / "pooled"))
-        run_sweep(spec, pooled, n_workers=1, pool=BatchPoolOptions())
+        run(spec, pooled, SweepOptions(n_workers=1, pool=BatchPoolOptions()))
         assert store_digests(pooled.root) == store_digests(plain.root)
 
     def test_four_workers_pooled_matches_serial_unpooled(self, tmp_path):
         spec = pooled_sweep_spec(name="pooled4")
         serial = SweepStore(str(tmp_path / "serial"))
-        run_sweep(spec, serial, n_workers=1)
+        run(spec, serial, SweepOptions(n_workers=1))
         pooled = SweepStore(str(tmp_path / "pooled"))
-        run_sweep(
+        run(
             spec,
             pooled,
-            n_workers=4,
-            pool=BatchPoolOptions(),
-            artifacts=ArtifactOptions(),
+            SweepOptions(
+                n_workers=4, artifacts=ArtifactOptions(), pool=BatchPoolOptions()
+            ),
         )
         assert store_digests(serial.root) == store_digests(pooled.root)

@@ -1,6 +1,8 @@
 """Tests for lease-based scheduling, retry/quarantine, store hygiene,
 and the byte-identity invariant under injected faults."""
 
+import dataclasses
+import multiprocessing
 import os
 import threading
 import time
@@ -16,13 +18,13 @@ from repro.sweeps import (
     LeaseManager,
     RetryPolicy,
     SchedulerOptions,
+    SweepOptions,
     SweepSpec,
     SweepStore,
     clear_fault_plan,
     expand_scenarios,
     install_fault_plan,
-    run_scheduled_sweep,
-    run_sweep,
+    run,
 )
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
 
@@ -30,9 +32,20 @@ from tests.test_sweeps import QUICK, store_digests
 
 #: No backoff sleeps: recovery tests already pay for child processes.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
-FAST_OPTS = SchedulerOptions(
-    lease_ttl=10.0, poll_interval=0.01, retry=FAST_RETRY
-)
+
+
+def run_leased(spec, store, n_workers=1, retry=FAST_RETRY, progress=None, **scheduler):
+    """Run ``spec`` on leased worker processes (lease TTL 10 s)."""
+    options = SweepOptions(
+        n_workers=n_workers,
+        retry=retry,
+        scheduler=SchedulerOptions(**dict({"lease_ttl": 10.0}, **scheduler)),
+    )
+    return run(spec, store, options, progress=progress)
+
+
+def run_in_process(spec, store, **options):
+    return run(spec, store, SweepOptions(n_workers=1, **options))
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +92,12 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="delays"):
             RetryPolicy(backoff_base=-1.0)
 
+    @pytest.mark.parametrize("name", ["backoff_base", "backoff_factor", "backoff_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RetryPolicy(**{name: value})
+
 
 class TestSchedulerOptions:
     def test_validation(self):
@@ -87,11 +106,17 @@ class TestSchedulerOptions:
         with pytest.raises(ValueError, match="scenario_timeout"):
             SchedulerOptions(scenario_timeout=0.0)
 
-    def test_heartbeat_defaults_to_quarter_ttl(self):
-        assert SchedulerOptions(lease_ttl=20.0).effective_heartbeat == 5.0
-        assert (
-            SchedulerOptions(heartbeat_interval=1.5).effective_heartbeat == 1.5
-        )
+    @pytest.mark.parametrize(
+        "name", ["lease_ttl", "scenario_timeout", "status_interval"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SchedulerOptions(**{name: value})
+
+    def test_only_lease_timeout_and_status_knobs(self):
+        names = {field.name for field in dataclasses.fields(SchedulerOptions)}
+        assert names == {"lease_ttl", "scenario_timeout", "status_interval"}
 
 
 class TestLeaseManager:
@@ -208,7 +233,9 @@ class TestFailureLog:
         log = FailureLog(store.root)
         scenario = expand_scenarios(spec_of((0.5,)))[0]
         log.record_attempt(scenario.scenario_id, "o")
-        with open(log.error_scratch_path(scenario.scenario_id, 1), "w") as f:
+        # An error scratch file left in an old root by an earlier version.
+        scratch = os.path.join(log.attempts_dir, f"{scenario.scenario_id}.err-1.json")
+        with open(scratch, "w") as f:
             f.write("{}")
         log.quarantine(scenario, {"type": "Boom"}, attempts=1, owner="o")
         store.put(scenario.scenario_id, {"ok": True})  # later success
@@ -256,7 +283,7 @@ class TestExecutorFaultTolerance:
     def test_transient_fault_retried_byte_identically(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
 
         victim = expand_scenarios(spec)[0].scenario_id
         install_fault_plan(
@@ -267,7 +294,7 @@ class TestExecutorFaultTolerance:
             )
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(spec, store, n_workers=1, retry=FAST_RETRY)
+        report = run_in_process(spec, store, retry=FAST_RETRY)
         assert report.failed_ids == []
         assert report.retried_ids == [victim]
         assert store_digests(store.root) == store_digests(clean.root)
@@ -275,7 +302,7 @@ class TestExecutorFaultTolerance:
     def test_commit_point_fault_retried_byte_identically(self, tmp_path):
         spec = spec_of((0.5,))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
 
         install_fault_plan(
             FaultPlan(
@@ -283,32 +310,29 @@ class TestExecutorFaultTolerance:
             )
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(spec, store, n_workers=1, retry=FAST_RETRY)
+        report = run_in_process(spec, store, retry=FAST_RETRY)
         assert report.failed_ids == []
         assert store_digests(store.root) == store_digests(clean.root)
 
     def test_quarantined_scenario_reattempted_on_resume(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
 
         victim = expand_scenarios(spec)[0].scenario_id
         install_fault_plan(
             FaultPlan(rules=(FaultRule(site="scenario.pre", key=victim),))
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(
-            spec,
-            store,
-            n_workers=1,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+        report = run_in_process(
+            spec, store, retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
         )
         assert report.failed_ids == [victim]
         assert len(store) == 1  # the sibling completed
         assert FailureLog(store.root).load_quarantine(victim)["attempts"] == 2
 
         clear_fault_plan()  # the cause is gone; resume converges
-        resumed = run_sweep(spec, store, n_workers=1, retry=FAST_RETRY)
+        resumed = run_in_process(spec, store, retry=FAST_RETRY)
         assert resumed.executed_ids == [victim]
         assert resumed.n_cached == 1
         assert FailureLog(store.root).load_quarantine(victim) is None
@@ -319,11 +343,9 @@ class TestScheduledSweep:
     def test_clean_run_matches_plain_executor(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         serial = SweepStore(str(tmp_path / "serial"))
-        run_sweep(spec, serial, n_workers=1)
+        run_in_process(spec, serial)
         scheduled = SweepStore(str(tmp_path / "sched"))
-        report = run_scheduled_sweep(
-            spec, scheduled, options=FAST_OPTS, n_workers=2
-        )
+        report = run_leased(spec, scheduled, n_workers=2)
         assert report.n_executed == 2
         assert report.failed_ids == [] and report.retried_ids == []
         assert store_digests(scheduled.root) == store_digests(serial.root)
@@ -334,7 +356,7 @@ class TestScheduledSweep:
     ):
         spec = spec_of((0.5, 1.0))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
 
         # Every scenario's first attempt dies by SIGKILL mid-scenario.
         set_env_plan(
@@ -342,7 +364,7 @@ class TestScheduledSweep:
             FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS, n_workers=2)
+        report = run_leased(spec, store, n_workers=2)
         assert report.failed_ids == []
         assert sorted(report.retried_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
@@ -357,7 +379,7 @@ class TestScheduledSweep:
         # rule no longer fires and the store converges byte-identically.
         spec = spec_of((0.5,))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
         scenario_id = expand_scenarios(spec)[0].scenario_id
 
         set_env_plan(
@@ -365,16 +387,12 @@ class TestScheduledSweep:
             FaultRule(site="scenario.post", kind="crash", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
-            retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
-        )
-        first = run_scheduled_sweep(spec, store, options=options)
+        once = RetryPolicy(max_attempts=1, backoff_base=0.0)
+        first = run_leased(spec, store, retry=once)
         assert first.failed_ids == [scenario_id]
         assert not store.has(scenario_id)
 
-        second = run_scheduled_sweep(spec, store, options=options)
+        second = run_leased(spec, store, retry=once)
         assert second.executed_ids == [scenario_id]
         assert FailureLog(store.root).load_quarantine(scenario_id) is None
         assert store_digests(store.root) == store_digests(clean.root)
@@ -389,13 +407,12 @@ class TestScheduledSweep:
             ),
         )
         store = SweepStore(str(tmp_path / "store"))
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
-            scenario_timeout=0.5,
+        report = run_leased(
+            spec,
+            store,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            scenario_timeout=0.5,
         )
-        report = run_scheduled_sweep(spec, store, options=options)
         assert report.executed_ids == [scenario_id]
         assert report.retried_ids == [scenario_id]
         history = FailureLog(store.root).history(scenario_id)
@@ -409,7 +426,7 @@ class TestScheduledSweep:
         dead = LeaseManager(store.root, ttl=0.05, owner="dead-worker")
         assert dead.acquire(scenario_id)
         time.sleep(0.1)
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS)
+        report = run_leased(spec, store)
         assert report.executed_ids == [scenario_id]
         assert store.has(scenario_id)
 
@@ -432,7 +449,7 @@ class TestScheduledSweep:
 
         thread = threading.Thread(target=finish_externally)
         thread.start()
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS)
+        report = run_leased(spec, store)
         thread.join()
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
@@ -457,7 +474,7 @@ class TestScheduledSweep:
             return claim(self, scenario_id)
 
         monkeypatch.setattr(LeaseManager, "acquire", publish_then_claim)
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS)
+        report = run_leased(spec, store)
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
         assert FailureLog(store.root).history(scenario.scenario_id) == []
@@ -469,9 +486,7 @@ class TestScheduledSweep:
         reports = [None, None]
 
         def go(i):
-            reports[i] = run_scheduled_sweep(
-                spec, store, options=FAST_OPTS, n_workers=2
-            )
+            reports[i] = run_leased(spec, store, n_workers=2)
 
         threads = [
             threading.Thread(target=go, args=(i,)) for i in range(2)
@@ -488,8 +503,137 @@ class TestScheduledSweep:
         assert sorted(executed) == sorted(reports[0].scenario_ids)
 
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
         assert store_digests(store.root) == store_digests(clean.root)
+
+
+def record_worker_pids(monkeypatch, path):
+    """Wrap the executor's ``run_scenario`` to append the calling PID to
+    ``path``; forked workers inherit the wrapper."""
+    import repro.sweeps.executor as executor
+
+    original = executor.run_scenario
+
+    def recording(*args, **kwargs):
+        with open(path, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_scenario", recording)
+
+
+def recorded_pids(path):
+    with open(path) as handle:
+        return [int(line) for line in handle]
+
+
+class TestWorkerPool:
+    """Long-lived workers: reuse, replacement after crash and timeout,
+    and no process outliving ``run()``."""
+
+    def test_fault_free_run_reuses_its_workers(self, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        record_worker_pids(monkeypatch, pids)
+        spec = spec_of((0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6))
+        report = run_leased(spec, SweepStore(str(tmp_path / "store")), n_workers=2)
+        assert report.n_executed == 8
+        assert len(recorded_pids(pids)) == 8
+        assert len(set(recorded_pids(pids))) <= 2
+        assert os.getpid() not in recorded_pids(pids)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["crash", "sigkill"])
+    def test_dead_worker_is_replaced(self, tmp_path, monkeypatch, kind):
+        spec = spec_of((0.5, 1.0, 1.5))
+        victim = expand_scenarios(spec)[0].scenario_id
+        clean = SweepStore(str(tmp_path / "clean"))
+        run_in_process(spec, clean)
+        pids = tmp_path / "pids"
+        record_worker_pids(monkeypatch, pids)
+        set_env_plan(
+            monkeypatch,
+            FaultRule(site="scenario.post", kind=kind, key=victim, max_attempt=1),
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        report = run_leased(spec, store)
+        assert report.failed_ids == []
+        assert report.retried_ids == [victim]
+        assert sorted(report.executed_ids) == sorted(report.scenario_ids)
+        assert FailureLog(store.root).history(victim)[0]["error"]["type"] == (
+            "WorkerCrash"
+        )
+        # The dead worker ran the victim's first attempt only; its
+        # replacement ran everything after.
+        first, *later = recorded_pids(pids)
+        assert later and first not in later and len(set(later)) == 1
+        assert store_digests(store.root) == store_digests(clean.root)
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_replaces_only_its_own_worker(self, tmp_path, monkeypatch):
+        spec = spec_of((0.5, 1.0, 1.5))
+        victim = expand_scenarios(spec)[0].scenario_id
+        set_env_plan(
+            monkeypatch,
+            FaultRule(
+                site="scenario.pre",
+                kind="delay",
+                delay=60.0,
+                key=victim,
+                max_attempt=1,
+            ),
+        )
+        children = []
+
+        def progress(scenario_id, executed):
+            children.append({p.pid for p in multiprocessing.active_children()})
+
+        report = run_leased(
+            spec,
+            SweepStore(str(tmp_path / "store")),
+            n_workers=2,
+            progress=progress,
+            scenario_timeout=1.5,
+        )
+        assert report.retried_ids == [victim]
+        assert sorted(report.executed_ids) == sorted(report.scenario_ids)
+        # The siblings finished on the other worker before the timeout;
+        # the victim's retry finished after it.  Exactly one of the two
+        # workers was replaced in between.
+        assert len(children[0]) == len(children[-1]) == 2
+        assert len(children[0] & children[-1]) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_raising_progress_callback_reaps_workers(self, tmp_path):
+        store = SweepStore(str(tmp_path / "store"))
+
+        def progress(scenario_id, executed):
+            raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            run_leased(spec_of((0.5, 1.0, 1.5)), store, n_workers=2, progress=progress)
+        assert multiprocessing.active_children() == []
+        assert os.listdir(os.path.join(store.root, ".leases")) == []
+
+    def test_heartbeat_keeps_a_long_attempt_leased(self, tmp_path, monkeypatch):
+        # Heartbeats every lease_ttl / 4 keep a 2 s attempt's 0.8 s
+        # lease fresh, so a second run on the same root never steals it.
+        spec = spec_of((0.5,))
+        scenario_id = expand_scenarios(spec)[0].scenario_id
+        set_env_plan(
+            monkeypatch,
+            FaultRule(site="scenario.pre", kind="delay", delay=2.0, max_attempt=1),
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        first = threading.Thread(
+            target=run_leased, args=(spec, store), kwargs={"lease_ttl": 0.8}
+        )
+        first.start()
+        time.sleep(1.0)
+        second = run_leased(spec, store, lease_ttl=0.8)
+        first.join(timeout=60)
+        assert not first.is_alive()
+        assert second.cached_ids == [scenario_id]
+        assert len(FailureLog(store.root).history(scenario_id)) == 1
 
 
 class TestChaosInvariant:
@@ -499,7 +643,7 @@ class TestChaosInvariant:
         byte-identical to a clean 1-worker run."""
         spec = spec_of((0.5, 1.0, 1.5))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run_in_process(spec, clean)
 
         scenarios = expand_scenarios(spec)
         set_env_plan(
@@ -520,12 +664,12 @@ class TestChaosInvariant:
         assert dead.acquire(scenarios[1].scenario_id)
         time.sleep(0.1)
 
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
+        report = run_leased(
+            spec,
+            store,
+            n_workers=2,
             retry=RetryPolicy(max_attempts=5, backoff_base=0.0),
         )
-        report = run_scheduled_sweep(spec, store, options=options, n_workers=2)
         assert report.failed_ids == []
         assert sorted(report.executed_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)

@@ -133,6 +133,37 @@ class TestHealthAndErrors:
         assert status == 400
         assert "options.turbo" in body["error"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_standard_json_constants_rejected(self, service, value):
+        # json.dumps writes NaN / Infinity / -Infinity literals, which
+        # are not JSON: a NaN lease TTL would make leases never go stale.
+        instance, client = service
+        status, body = client.post("/sweeps", submission(quick_spec(), lease_ttl=value))
+        assert status == 400
+        assert "not a JSON value" in body["error"]
+        assert instance.jobs.jobs() == []
+
+    @pytest.mark.parametrize("option", ["lease_ttl", "scenario_timeout"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_option_values_rejected(self, service, option, value):
+        instance, client = service
+        status, body = client.post(
+            "/sweeps", submission(quick_spec(), **{option: value})
+        )
+        assert status == 400
+        assert f"{option} must be finite" in body["error"]
+        assert instance.jobs.jobs() == []
+
+    @pytest.mark.parametrize("value", [2.0, True, "2"])
+    def test_n_workers_must_be_a_json_integer(self, service, value):
+        instance, client = service
+        status, body = client.post(
+            "/sweeps", submission(quick_spec(), n_workers=value)
+        )
+        assert status == 400
+        assert "options.n_workers" in body["error"]
+        assert instance.jobs.jobs() == []
+
 
 class TestSubmitPollRows:
     def test_submit_poll_rows_byte_identical_to_direct_run(

@@ -21,7 +21,6 @@ from repro.sweeps import (
     expand_scenarios,
     render_status,
     run,
-    run_sweep,
     scenario_config,
     spec_from_dict,
     spec_to_dict,
@@ -321,23 +320,23 @@ class TestRunSweep:
     def test_executes_then_resumes(self, tmp_path):
         spec = quick_spec()
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(spec, store, n_workers=1)
+        report = run(spec, store, SweepOptions(n_workers=1))
         assert isinstance(report, SweepReport)
         assert report.n_scenarios == 2
         assert report.n_executed == 2 and report.n_cached == 0
-        again = run_sweep(spec, store, n_workers=1)
+        again = run(spec, store, SweepOptions(n_workers=1))
         assert again.n_executed == 0 and again.n_cached == 2
 
     def test_interrupted_sweep_reruns_only_missing(self, tmp_path):
         spec = quick_spec(sigmas=(0.5, 1.0, 1.5))
         store = SweepStore(str(tmp_path / "store"))
-        run_sweep(spec, store, n_workers=1)
+        run(spec, store, SweepOptions(n_workers=1))
         before = store_digests(store.root)
         # Simulate a kill mid-sweep: one scenario's result never landed.
         victim = expand_scenarios(spec)[1].scenario_id
         os.unlink(store.record_path(victim))
         os.unlink(store.arrays_path(victim))
-        report = run_sweep(spec, store, n_workers=1)
+        report = run(spec, store, SweepOptions(n_workers=1))
         assert report.executed_ids == [victim]
         assert report.n_cached == 2
         # The re-executed scenario reproduces its exact bytes.
@@ -345,9 +344,9 @@ class TestRunSweep:
 
     def test_extending_a_sweep_reuses_overlap(self, tmp_path):
         store = SweepStore(str(tmp_path / "store"))
-        run_sweep(quick_spec(sigmas=(0.5, 1.0)), store, n_workers=1)
+        run(quick_spec(sigmas=(0.5, 1.0)), store, SweepOptions(n_workers=1))
         extended = quick_spec(sigmas=(0.5, 1.0, 1.5, 2.0))
-        report = run_sweep(extended, store, n_workers=1)
+        report = run(extended, store, SweepOptions(n_workers=1))
         assert report.n_cached == 2 and report.n_executed == 2
 
     def test_failure_quarantines_and_continues(self, tmp_path):
@@ -362,11 +361,12 @@ class TestRunSweep:
             base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(
+        report = run(
             spec,
             store,
-            n_workers=1,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            SweepOptions(
+                n_workers=1, retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
+            ),
         )
         bad = expand_scenarios(spec)[1].scenario_id
         assert report.failed_ids == [bad]
@@ -384,15 +384,15 @@ class TestRunSweep:
         spec = quick_spec()
         store = SweepStore(str(tmp_path / "store"))
         seen = []
-        run_sweep(spec, store, progress=lambda sid, ran: seen.append((sid, ran)))
+        run(spec, store, progress=lambda sid, ran: seen.append((sid, ran)))
         assert sorted(sid for sid, ran in seen if ran) == sorted(store.ids())
         seen.clear()
-        run_sweep(spec, store, progress=lambda sid, ran: seen.append((sid, ran)))
+        run(spec, store, progress=lambda sid, ran: seen.append((sid, ran)))
         assert all(not ran for _, ran in seen) and len(seen) == 2
 
     def test_rejects_bad_worker_count(self, tmp_path):
         with pytest.raises(ValueError):
-            run_sweep(quick_spec(), SweepStore(str(tmp_path)), n_workers=0)
+            run(quick_spec(), SweepStore(str(tmp_path)), SweepOptions(n_workers=0))
 
 
 class TestWorkerDeterminism:
@@ -400,8 +400,8 @@ class TestWorkerDeterminism:
         spec = quick_spec(sigmas=(0.4, 0.8, 1.2, 1.6), attacks=("none", "strip"))
         serial = SweepStore(str(tmp_path / "serial"))
         pooled = SweepStore(str(tmp_path / "pooled"))
-        report1 = run_sweep(spec, serial, n_workers=1)
-        report4 = run_sweep(spec, pooled, n_workers=4)
+        report1 = run(spec, serial, SweepOptions(n_workers=1))
+        report4 = run(spec, pooled, SweepOptions(n_workers=4))
         assert report1.n_executed == report4.n_executed == 8
         assert report1.executed_ids == report4.executed_ids
         assert store_digests(serial.root) == store_digests(pooled.root)
@@ -422,7 +422,7 @@ class TestAttacks:
         # stripped DUT fleet must not (the keyed signature is gone).
         store = SweepStore(str(tmp_path / "store"))
         spec = quick_spec(sigmas=(0.25,), attacks=("none", "strip"))
-        run_sweep(spec, store, n_workers=1)
+        run(spec, store, SweepOptions(n_workers=1))
         rows = tidy_accuracy(store, expand_scenarios(spec))
         by_attack = {
             row["attack"]: row["accuracy"]
@@ -438,7 +438,7 @@ class TestAggregation:
     def populated(self, tmp_path_factory):
         spec = quick_spec(sigmas=(0.5, 1.0), attacks=("none", "strip"), seed=9)
         store = SweepStore(str(tmp_path_factory.mktemp("agg")))
-        run_sweep(spec, store, n_workers=1)
+        run(spec, store, SweepOptions(n_workers=1))
         return spec, store
 
     def test_tidy_rows_carry_axes(self, populated):
@@ -521,50 +521,52 @@ class TestRocOrdering:
             base={k: v for k, v in QUICK.items() if k != "parameters.n2"},
         )
         store = SweepStore(str(tmp_path / "store"))
-        run_sweep(spec, store, n_workers=1)
+        run(spec, store, SweepOptions(n_workers=1))
         rows = roc_by_axis(store, "parameters.n2", expand_scenarios(spec))
         assert [row["parameters.n2"] for row in rows] == [256, 512, 1024]
 
 
 class TestUnifiedFacade:
-    """``repro.sweeps.run`` and the deprecated aliases behind it."""
+    """``repro.sweeps.run``: one loop, two places to run attempts."""
 
-    def test_facade_and_aliases_byte_identical(self, tmp_path):
-        from repro.sweeps import SchedulerOptions, run_scheduled_sweep
-
-        spec = quick_spec(name="facade", attacks=("none", "strip"))
-        facade = SweepStore(str(tmp_path / "facade"))
-        run(spec, facade, SweepOptions(n_workers=1))
-
-        alias = SweepStore(str(tmp_path / "alias"))
-        with pytest.deprecated_call():
-            run_sweep(spec, alias, n_workers=2)
-
-        scheduled = SweepStore(str(tmp_path / "scheduled"))
-        with pytest.deprecated_call():
-            run_scheduled_sweep(
-                spec,
-                scheduled,
-                options=SchedulerOptions(poll_interval=0.01),
-            )
-
-        reference = store_digests(facade.root)
-        assert store_digests(alias.root) == reference
-        assert store_digests(scheduled.root) == reference
-
-    def test_scheduler_option_routes_to_lease_scheduler(self, tmp_path):
+    def test_in_process_and_worker_paths_byte_identical(self, tmp_path):
         from repro.sweeps import SchedulerOptions
 
+        spec = quick_spec(name="facade", attacks=("none", "strip"))
+        in_process = SweepStore(str(tmp_path / "in_process"))
+        run(spec, in_process, SweepOptions(n_workers=1))
+
+        workers = SweepStore(str(tmp_path / "workers"))
+        run(spec, workers, SweepOptions(n_workers=2))
+
+        scheduled = SweepStore(str(tmp_path / "scheduled"))
+        run(spec, scheduled, SweepOptions(scheduler=SchedulerOptions()))
+
+        reference = store_digests(in_process.root)
+        assert store_digests(workers.root) == reference
+        assert store_digests(scheduled.root) == reference
+
+    def test_scheduler_option_leases_even_one_worker(self, tmp_path, monkeypatch):
+        from repro.sweeps import SchedulerOptions
+        from repro.sweeps.scheduler import LeaseManager
+
+        claimed = []
+        acquire = LeaseManager.acquire
+
+        def recording_acquire(self, scenario_id):
+            claimed.append(scenario_id)
+            return acquire(self, scenario_id)
+
+        monkeypatch.setattr(LeaseManager, "acquire", recording_acquire)
         spec = quick_spec(name="routed", sigmas=(0.5,))
         store = SweepStore(str(tmp_path / "store"))
-        run(
-            spec,
-            store,
-            SweepOptions(scheduler=SchedulerOptions(poll_interval=0.01)),
-        )
-        # The lease scheduler (and only it) records attempt history.
-        assert os.path.isdir(os.path.join(store.root, ".attempts"))
-        assert len(store) == 1
+        run(spec, store, SweepOptions(scheduler=SchedulerOptions()))
+        assert claimed == store.ids()
+        assert os.listdir(os.path.join(store.root, ".leases")) == []
+
+        plain = SweepStore(str(tmp_path / "plain"))
+        run(spec, plain, SweepOptions(n_workers=1))
+        assert claimed == store.ids()  # the in-process path takes no lease
 
     def test_default_options_run(self, tmp_path):
         spec = quick_spec(name="defaults", sigmas=(0.5,))
