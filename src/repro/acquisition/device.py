@@ -28,7 +28,7 @@ instead of letting each device lazily simulate its own netlist, it
 dedupes a whole fleet down to its distinct ``(structure, cycles)``
 entries and fills them through
 :func:`~repro.hdl.simulator.simulate_batch`, which executes every
-group of shape-compatible netlists in **one** vectorised engine run.
+group of shape-compatible netlists in **one** batched engine run.
 Batched execution is byte-identical to the per-device compiled path
 (the engine's core invariant), so priming never changes what any
 device observes — only how fast the cache fills.
@@ -89,8 +89,8 @@ def prime_fleet_activity(
     cycle count)``, skips everything already cached (per device or
     process-wide), and simulates the remaining distinct netlists
     through :func:`~repro.hdl.simulator.simulate_batch` — one
-    vectorised engine execution per netlist *shape*, with per-lane
-    cycle counts, instead of one scalar run per structure.  Devices
+    batched engine execution per netlist *shape*, with per-lane cycle
+    counts, instead of one run per structure.  Devices
     whose netlists cannot be fingerprinted (interpreted engines, input
     ports) are simulated individually, exactly as the lazy
     :meth:`Device.activity` path would.

@@ -164,7 +164,8 @@ def _attach_input_exercisers(netlist: Netlist, prefix: str = "stim") -> Wire:
     cache and batch axis.  Campaign workloads instead drive every input
     from free-running 8-bit maximal LFSRs (period 255) through pure
     bit-extract logic: fully tabulatable, so the whole design stays
-    fingerprintable, batchable and vectorisable.
+    fingerprintable and batchable, and the cycle-axis kernels rebuild
+    its feed-forward logic instead of the residue loop stepping it.
 
     Single-bit inputs share one LFSR per group of eight; wider inputs
     get a dedicated LFSR.  Returns the first LFSR's state wire — an

@@ -297,7 +297,7 @@ def run_campaign(
         else:
             refds, duts = build_campaign_fleet(cfg, fleet_tag)
     # Batched activity priming: the fleet's distinct netlists simulate
-    # grouped by shape in one vectorised engine run each, instead of
+    # grouped by shape in one batched engine run each, instead of
     # lazily one at a time when the first waveform is rendered.  Cached
     # fleets skip this in O(devices) dict lookups; trace bytes are
     # unchanged either way (the engine's batching invariant).  With a

@@ -7,13 +7,14 @@ verification scheme only consumes switching activity, which the
 simulator records exactly.  Netlists are assembled from component
 objects (:mod:`repro.hdl.component` and friends), validated by
 :mod:`repro.hdl.netlist`, then *lowered* by :mod:`repro.hdl.engine`
-into a flat, table-driven program — opcode/operand statements over
-dense wire indices, register updates as simultaneous assignments, and
-switching activity as vectorised Hamming weights over the recorded
+into a flat, table-driven program — a generated loop that steps only
+the sequential residue (feedback registers and their fan-in), numpy
+kernels that rebuild every feed-forward wire for all cycles at once,
+and switching activity as vectorised Hamming weights over the recorded
 wire-value matrix.  :class:`~repro.hdl.simulator.Simulator` fronts both
 the compiled engine (default) and the original interpreted loop, which
-is retained as a reference oracle; the two are bit-identical on every
-supported netlist.
+is retained as the reference oracle; the two are bit-identical on
+every supported netlist.
 """
 
 from repro.hdl.activity import ActivityTrace, Channel

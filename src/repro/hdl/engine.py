@@ -11,86 +11,67 @@ and then executes a flat program:
    statements over local integer variables: ROMs, transition tables and
    (small) lookup logic become tuple indexing, Gray decode becomes an
    unrolled shift/XOR ladder, register capture/commit becomes a block of
-   simultaneous assignments.  The statements are assembled in the
-   netlist's topological order into one specialised step loop, compiled
-   a single time with :func:`exec`.  Lowering also *partitions* the op
-   list for the vectorised tier (:func:`_vector_partition`): the
-   **sequential residue** — registers on feedback cycles, transition
-   tables, ports and every op feeding them — versus the **feed-forward
-   slices** whose inputs are residue wires, peeled pipeline registers
-   or constants, each slice mapped to a cycle-axis numpy kernel.
-2. **Execution, scalar tier** — the generated runner advances the
-   whole design one clock per iteration, appending one settled
-   wire-value row per cycle.  Netlists without input ports are pure
-   functions of their register state, so the runner also memoises
-   rows: as soon as the design re-enters a previously seen state the
-   remaining rows are tiled with NumPy instead of stepped.
-3. **Execution, vectorised tier** — when the kernel plan reconstructs
-   at least one wire, a *reduced* generated loop steps only the
-   sequential residue (typically a handful of ops) and records the
-   core wire columns; every feed-forward wire is then rebuilt for
-   *all* cycles at once by the planned kernels — bitwise ops over
-   ``(cycles,)`` uint64 vectors, ``np.take``-style table gathers,
-   shifted views for peeled registers — writing into the same
-   ``(cycles + 1, n_wires)`` value tensor the scalar tier produces.
-   Memoised long runs step only until state re-entry and tile the
-   activity matrix with period-aligned block copies (periodicity
-   starts ``depth`` cycles after re-entry, where ``depth`` is the
-   longest peeled register chain), so throughput on periodic designs
-   is bounded by memory bandwidth, not the interpreter.
-4. **Activity** — switching activity is computed *after* the run as
+   simultaneous assignments.  Lowering also *partitions* the op list
+   (:func:`_vector_partition`) into the **sequential residue** —
+   registers on feedback cycles, transition tables, ports and every op
+   feeding them — and the **feed-forward slices** whose inputs are
+   residue wires, peeled pipeline registers or constants, each slice
+   mapped to a cycle-axis numpy kernel.
+2. **Execution** — a generated loop, compiled a single time with
+   :func:`exec`, steps only the sequential residue (typically a
+   handful of ops) and records the residue wire columns; every
+   feed-forward wire is then rebuilt for *all* cycles at once by the
+   planned kernels — bitwise ops over ``(cycles,)`` uint64 vectors,
+   ``np.take``-style table gathers, shifted views for peeled
+   registers — into one ``(cycles + 1, n_wires)`` value tensor.  A
+   design whose residue is the whole netlist runs the same path with a
+   kernel list of ``hold`` entries only.  Netlists without input ports
+   are pure functions of their register state, so long runs step only
+   until state re-entry and tile the activity matrix with
+   period-aligned block copies (periodicity starts ``depth`` cycles
+   after re-entry, where ``depth`` is the longest peeled register
+   chain), so throughput on periodic designs is bounded by memory
+   bandwidth, not the interpreter.
+3. **Activity** — switching activity is computed *after* the run as
    vectorised Hamming weights over the ``(cycles + 1, n_wires)`` value
    matrix, written column-by-column into the ``(cycles, n_channels)``
    activity matrix.  The channel-index map is computed once at compile
    time; no per-cycle objects are allocated.
-5. **Batching** (:func:`run_batch`) — the paper's experiments are
+4. **Batching** (:func:`run_batch`) — the paper's experiments are
    fleet-scale: many device instances of a handful of netlist
    structures.  Lowering therefore also derives a *shape key* — the
    structural fingerprint with every per-device datum (constant values,
    lookup/ROM/transition tables, register reset values, wire initial
    values, activity weights) abstracted away.  N netlists sharing a
-   shape key execute in **one** batched run: every wire becomes a
-   ``(batch,)`` NumPy vector, per-device constants and tables are bound
-   as stacked arrays indexed by lane, the step loop runs once for the
-   whole fleet, wire values are recorded into a
-   ``(cycles + 1, n_wires, batch)`` tensor, and activity is computed as
-   batched Hamming weights.  State-cycle memoisation is batch-aware:
-   stepping proceeds in chunks and each lane's state re-entry is
-   detected independently, so ragged fleets (different cycle counts,
-   different reset states) tile each lane's own period.  The kernel
-   plan composes with the batch axis: under ``vectorise="auto"`` the
-   batched loop steps only the sequential residue per cycle and the
-   kernels rebuild every remaining wire for all ``cycles × lanes`` at
-   once.
+   shape key execute in **one** batched run: every residue wire becomes
+   a ``(batch,)`` NumPy vector, per-device constants and tables are
+   bound as stacked arrays indexed by lane, the residue loop runs once
+   for the whole fleet, and the kernels rebuild every remaining wire
+   for all ``cycles × lanes`` at once.  State-cycle memoisation is
+   batch-aware: stepping proceeds in chunks and each lane's state
+   re-entry is detected independently, so ragged fleets (different
+   cycle counts, different reset states) tile each lane's own period.
 
-**Tier selection.**  ``engine="auto"`` on the
-:class:`~repro.hdl.simulator.Simulator` compiles the netlist and lets
-the engine pick per design: the vectorised tier whenever the plan
-reconstructs at least one wire (every paper design), the scalar
-generated loop when the sequential residue is the whole design — an
-FSM whose every wire sits on the register feedback path, where a
-reduced loop plus kernels would just be the scalar loop with extra
-bookkeeping.  ``engine="compiled"`` pins the scalar loop (the oracle
-the vectorised tier is byte-compared against), ``engine="vectorised"``
-pins the kernel tier, and netlists the lowering pass rejects fall back
-to the interpreted loop under ``"auto"``.  Opaque lookup callables,
-input ports and oversized transition tables are simply forced into the
-sequential residue, so they execute exactly the scalar statements —
-the tier never guesses at semantics it cannot prove.
+``engine="auto"`` on the :class:`~repro.hdl.simulator.Simulator`
+compiles the netlist and falls back to the interpreted loop for
+netlists the lowering pass rejects; ``engine="compiled"`` raises
+instead.  Opaque lookup callables, input ports and oversized
+transition tables are simply forced into the sequential residue, so
+they execute per cycle exactly as lowered — the kernels never guess
+at semantics they cannot prove.
 
-**Invariant — neither batching nor the vectorised tier changes trace
-bytes.**  The compiled output is bit-identical to the interpreted
-oracle, the batched path is byte-identical to the per-device compiled
-path, and the vectorised tier is byte-identical to the scalar loop:
+**Invariant — neither batching nor the kernels change trace bytes.**
+The compiled output is bit-identical to the interpreted oracle, and
+the batched path is byte-identical to the per-device compiled path:
 identical ``ActivityTrace`` matrices, channels and post-run netlist
 state for every lane, regardless of batch size, lane order or
 raggedness (``tests/test_engine.py``, ``tests/test_engine_batch.py``
 and ``tests/test_engine_vectorised.py`` prove it for every paper
-design).  Uint64 lane arithmetic mirrors the scalar
-integer statements operation for operation, and both paths share one
+design).  Uint64 kernel arithmetic mirrors the generated integer
+statements operation for operation, and every path shares one
 activity kernel (:func:`_activity_from_values`), so consumers — most
 importantly the fleet-level activity cache in
-:mod:`repro.acquisition.device` — may freely mix scalar and batched
+:mod:`repro.acquisition.device` — may freely mix single and batched
 executions without invalidating anything keyed on trace content.
 
 Lowering additionally yields a *structural fingerprint* — a digest of
@@ -103,12 +84,11 @@ keep their own per-lane data.
 
 Netlists containing constructs the lowering pass cannot prove
 equivalent (custom component classes, wires outside the netlist,
-extremely wide buses) raise :class:`CompileError`; the
-:class:`~repro.hdl.simulator.Simulator` front-end then falls back to
-the interpreted reference engine automatically.  Netlists with input
-ports, opaque lookup callables or very wide transition tables compile
-but are not *batchable*; :func:`~repro.hdl.simulator.simulate_batch`
-runs those lanes through the scalar path instead.
+extremely wide buses) raise :class:`CompileError`.  Netlists with
+input ports, opaque lookup callables or very wide transition tables
+compile but are not *batchable*;
+:func:`~repro.hdl.simulator.simulate_batch` runs those lanes one
+netlist at a time instead.
 
 A compiled program snapshots its netlist's *compile generation*
 (:attr:`~repro.hdl.netlist.Netlist.compile_generation`).  A component
@@ -175,11 +155,11 @@ class CompileError(Exception):
 #: Process-wide cache of generated step programs keyed on the
 #: structural fingerprint.  Two netlists with the same fingerprint
 #: lower to byte-identical source over identical wire indices and
-#: value-equal bound constants, so the exec'd ``_settle`` / ``_run`` /
-#: ``_run_memo`` / ``_rrun`` / ``_rrun_memo`` functions and the vector
-#: plan can be shared: a fleet of N devices manufactured from the same
-#: IP compiles its program exactly once.  Entries are
-#: ``(source, settle, run, run_memo, rrun, rrun_memo, vector_plan)``.
+#: value-equal bound constants, so the exec'd ``_settle`` / ``_rrun`` /
+#: ``_rrun_memo`` functions and the vector plan can be shared: a fleet
+#: of N devices manufactured from the same IP compiles its program
+#: exactly once.  Entries are
+#: ``(source, settle, rrun, rrun_memo, vector_plan)``.
 _PROGRAM_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
 
 #: Process-wide cache of generated *batched* step programs, keyed on
@@ -195,8 +175,8 @@ _BATCH_PROGRAM_CACHE: "OrderedDict[Tuple[str, Tuple], Tuple[str, Callable, Calla
 PROGRAM_CACHE_MAX = 128
 
 
-#: Per-shape cycle-axis vector plans for :func:`run_batch` (the scalar
-#: path shares its plan through :data:`_PROGRAM_CACHE` instead).
+#: Per-shape cycle-axis vector plans for :func:`run_batch` (single
+#: netlists share theirs through :data:`_PROGRAM_CACHE` instead).
 _BATCH_PLAN_CACHE: "OrderedDict[str, _VectorPlan]" = OrderedDict()
 
 
@@ -251,9 +231,9 @@ def _activity_from_values(
     (LUT glitch factor, ROM precharge, clock load) with per-lane
     arrays for batches whose lanes carry different weights.
 
-    Scalar and batched executions share this one kernel on purpose:
+    Single and batched executions share this one kernel on purpose:
     every operation is elementwise, so a lane of a batched result is
-    float-for-float identical to the same netlist's scalar result.
+    float-for-float identical to the same netlist's own result.
     """
     current = values[1:]
     previous = values[:-1]
@@ -580,7 +560,7 @@ class _Lowering:
             )
         else:
             # Densifying a 2^width sentinel table is not worth it for
-            # very wide state buses; those lanes run scalar.
+            # very wide state buses; those lanes run one at a time.
             self.batchable = False
         self._channel(component, ("tt", state, nxt))
 
@@ -720,12 +700,16 @@ class _Lowering:
         return tuple(ops)
 
     def generate_program(self) -> None:
-        """Assemble and exec the scalar runners (full and reduced).
+        """Assemble and exec the settle pass and the residue runners.
 
-        ``_settle`` / ``_run`` / ``_run_memo`` execute the whole design;
-        ``_rrun`` / ``_rrun_memo`` execute only the vector plan's
-        phase-1 residue (core ops + core registers) and record compact
-        core-wire rows for the phase-2 kernels to expand.
+        ``_settle`` settles every wire once (the baseline row);
+        ``_rrun`` / ``_rrun_memo`` step only the vector plan's residue
+        (core ops + core registers) and record compact core-wire rows
+        for the kernels to expand.  Core statements only ever read core
+        wires (the partition closure guarantees it), so the loop tracks
+        just those columns; the recorded row is the memo key — core
+        rows are Markov (nothing outside the residue feeds back into
+        it), so core re-entry implies core periodicity.
         """
         order = self.netlist.combinational_order()
         n = len(self.wires)
@@ -742,112 +726,54 @@ class _Lowering:
         port_slot = {id(port): i for i, port in enumerate(self.ports)}
         settle_body: List[str] = []
         loop_body: List[str] = []
-        for component in order:
+        core_set = set(plan.core_ops)
+        for pos, component in enumerate(order):
             settle_body.extend(self._comb_statement(component, "0"))
-            # Constants stay in the loop body too: the interpreted oracle
-            # drives them every cycle, which matters for the first cycle
-            # of a never-reset netlist (previous value is the power-on
-            # initial, not the constant).
+            if pos not in core_set:
+                continue
+            # Core constants stay in the loop body too: the interpreted
+            # oracle drives them every cycle, which matters for the
+            # first cycle of a never-reset netlist (previous value is
+            # the power-on initial, not the constant).
             if type(component) is InputPort:
                 stim_expr = f"_t + 1 + _off[{port_slot[id(component)]}]"
             else:
                 stim_expr = "0"
             loop_body.extend(self._comb_statement(component, stim_expr))
-
         capture = [
-            f"_c{i} = w{self.wire_index(reg.d)}"
-            for i, reg in enumerate(self.registers)
+            f"_c{i} = w{self.wire_index(self.registers[i].d)}"
+            for i in plan.core_regs
         ]
         commit = [
-            f"w{self.wire_index(reg.q)} = _c{i}"
-            for i, reg in enumerate(self.registers)
+            f"w{self.wire_index(self.registers[i].q)} = _c{i}"
+            for i in plan.core_regs
         ]
-
         step = "\n".join(
             part for part in (
                 _indent(capture, 2), _indent(commit, 2), _indent(loop_body, 2)
             ) if part
-        )
+        ) or "        pass"
         settle = _indent(settle_body, 1) or "    pass"
         unpack_line = f"    {unpack} = _v\n" if names else ""
-        unpack_run = f"    {unpack} = _init\n" if names else ""
 
+        core_names = [f"w{i}" for i in plan.core_wires]
+        core_unpack = ", ".join(core_names) + ("," if core_names else "")
+        core_row = (
+            "(" + ", ".join(core_names) + ("," if core_names else "") + ")"
+        )
+        runpack = f"    {core_unpack} = _init\n" if core_names else ""
         source = (
             f"def _settle(_v):\n"
             f"{unpack_line}"
             f"{settle}\n"
             f"    return {row}\n"
             f"\n"
-            f"def _run(_cycles, _init, _off):\n"
-            f"    _rows = [_init]\n"
-            f"    _ap = _rows.append\n"
-            f"{unpack_run}"
-            f"    for _t in range(_cycles):\n"
-            f"{step}\n"
-            f"        _ap({row})\n"
-            f"    return _rows, None\n"
-            f"\n"
-            f"def _run_memo(_cycles, _init, _off):\n"
-            f"    _rows = [_init]\n"
-            f"    _ap = _rows.append\n"
-            f"    _seen = {{_init: 0}}\n"
-            f"{unpack_run}"
-            f"    for _t in range(_cycles):\n"
-            f"{step}\n"
-            f"        _r = {row}\n"
-            f"        _j = _seen.get(_r)\n"
-            f"        if _j is not None:\n"
-            f"            return _rows, _j\n"
-            f"        _seen[_r] = len(_rows)\n"
-            f"        _ap(_r)\n"
-            f"    return _rows, None\n"
-        )
-
-        # Reduced runners: the same step semantics restricted to the
-        # vector plan's phase-1 residue.  Core statements only ever read
-        # core wires (the partition closure guarantees it), so the loop
-        # tracks and records just those columns; the recorded row is the
-        # memo key — core rows are Markov (nothing outside the residue
-        # feeds back into it), so core re-entry implies core periodicity.
-        core_names = [f"w{i}" for i in plan.core_wires]
-        core_unpack = ", ".join(core_names) + ("," if core_names else "")
-        core_row = (
-            "(" + ", ".join(core_names) + ("," if core_names else "") + ")"
-        )
-        core_set = set(plan.core_ops)
-        rloop_body: List[str] = []
-        for pos, component in enumerate(order):
-            if pos not in core_set:
-                continue
-            if type(component) is InputPort:
-                stim_expr = f"_t + 1 + _off[{port_slot[id(component)]}]"
-            else:
-                stim_expr = "0"
-            rloop_body.extend(self._comb_statement(component, stim_expr))
-        rcapture = [
-            f"_c{i} = w{self.wire_index(self.registers[i].d)}"
-            for i in plan.core_regs
-        ]
-        rcommit = [
-            f"w{self.wire_index(self.registers[i].q)} = _c{i}"
-            for i in plan.core_regs
-        ]
-        rstep = "\n".join(
-            part for part in (
-                _indent(rcapture, 2),
-                _indent(rcommit, 2),
-                _indent(rloop_body, 2),
-            ) if part
-        ) or "        pass"
-        runpack = f"    {core_unpack} = _init\n" if core_names else ""
-        source += (
-            f"\n"
             f"def _rrun(_cycles, _init, _off):\n"
             f"    _rows = [_init]\n"
             f"    _ap = _rows.append\n"
             f"{runpack}"
             f"    for _t in range(_cycles):\n"
-            f"{rstep}\n"
+            f"{step}\n"
             f"        _ap({core_row})\n"
             f"    return _rows, None\n"
             f"\n"
@@ -857,7 +783,7 @@ class _Lowering:
             f"    _seen = {{_init: 0}}\n"
             f"{runpack}"
             f"    for _t in range(_cycles):\n"
-            f"{rstep}\n"
+            f"{step}\n"
             f"        _r = {core_row}\n"
             f"        _j = _seen.get(_r)\n"
             f"        if _j is not None:\n"
@@ -1001,16 +927,13 @@ def _batch_statement(op: tuple, uniform: Tuple) -> List[str]:
 
 
 def _build_batch_source(
-    plan: tuple, uniform: Tuple, partition: Optional["_VectorPlan"] = None
+    plan: tuple, uniform: Tuple, partition: "_VectorPlan"
 ) -> str:
     """Assemble ``_bsettle`` / ``_brun`` source for one shape.
 
-    With a ``partition`` (the cycle-axis vector plan), ``_brun``
-    executes only the phase-1 residue — core ops and core registers —
-    and records compact core-wire rows; the settle pass stays full
-    because the baseline row needs every wire.  Without one, the loop
-    executes and records the whole design (the scalar-per-cycle batch
-    oracle the vectorised composition is tested against).
+    ``_brun`` executes only the ``partition``'s residue — core ops and
+    core registers — and records compact core-wire rows; the settle
+    pass stays full because the baseline row needs every wire.
     """
     n_wires, regs, ops, slot_kinds = plan
     names = [f"w{i}" for i in range(n_wires)]
@@ -1019,20 +942,15 @@ def _build_batch_source(
     data_unpack = "(" + ", ".join(data_names) + ",) = _d"
 
     body: List[str] = []
-    for op in ops:
-        body.extend(_batch_statement(op, uniform))
-    if partition is None:
-        loop_body = body
-        loop_regs = list(enumerate(regs))
-        record = list(range(n_wires))
-    else:
-        core_set = set(partition.core_ops)
-        loop_body = []
-        for pos, op in enumerate(ops):
-            if pos in core_set:
-                loop_body.extend(_batch_statement(op, uniform))
-        loop_regs = [(i, regs[i]) for i in partition.core_regs]
-        record = list(partition.core_wires)
+    loop_body: List[str] = []
+    core_set = set(partition.core_ops)
+    for pos, op in enumerate(ops):
+        statements = _batch_statement(op, uniform)
+        body.extend(statements)
+        if pos in core_set:
+            loop_body.extend(statements)
+    loop_regs = [(i, regs[i]) for i in partition.core_regs]
+    record = list(partition.core_wires)
     capture = [f"_c{i} = w{d}" for i, (d, _q) in loop_regs]
     commit = [f"w{q} = _c{i}" for i, (_d, q) in loop_regs]
     stores = ["_Ot = _O[_t + 1]"] + [
@@ -1068,15 +986,14 @@ def _batch_program(
     shape_key: str,
     plan: tuple,
     uniform: Tuple,
-    partition: Optional["_VectorPlan"] = None,
+    partition: "_VectorPlan",
 ) -> Tuple[Callable, Callable]:
     """Fetch or generate the batched program for (shape, uniformity).
 
-    Core-recording (vectorised-composition) programs cache separately
-    from full-recording ones — the partition is itself a pure function
-    of the shape, so a boolean suffices as the third key dimension.
+    The partition is a pure function of the shape, so it needs no key
+    dimension of its own.
     """
-    cache_key = (shape_key, uniform, partition is not None)
+    cache_key = (shape_key, uniform)
     cached = _BATCH_PROGRAM_CACHE.get(cache_key)
     if cached is not None:
         _BATCH_PROGRAM_CACHE.move_to_end(cache_key)
@@ -1095,15 +1012,15 @@ def _dense_transition_table(value: Tuple[int, Tuple]) -> np.ndarray:
     """Densify a (state width, sorted items) transition table.
 
     Missing codes hold :data:`_TT_SENTINEL`, which the generated check
-    turns into the same ``KeyError`` the scalar paths raise.
+    turns into the same ``KeyError`` the per-netlist path raises.
     """
     width, items = value
     size = 1 << width
     table = np.full(size, _TT_SENTINEL, dtype=np.uint64)
     for code, target in items:
         # Codes beyond the state wire's width are unreachable (wires
-        # are width-masked); the scalar paths simply never look them
-        # up, so the dense form drops them rather than overflowing.
+        # are width-masked); the per-netlist path never looks them up,
+        # so the dense form drops them rather than overflowing.
         if code < size:
             table[code] = target
     return table
@@ -1112,10 +1029,10 @@ def _dense_transition_table(value: Tuple[int, Tuple]) -> np.ndarray:
 def _first_state_reentry(rows: np.ndarray) -> Optional[Tuple[int, int]]:
     """First ``(j, t1)`` with ``rows[t1] == rows[j]`` and ``j < t1``.
 
-    This is exactly the state re-entry the scalar ``_run_memo`` detects:
-    ``t1`` is the first time index whose full wire-value row repeats an
-    earlier row ``j``; from ``j`` on the sequence is periodic with
-    period ``t1 - j``.  Returns ``None`` when no row repeats.
+    This is exactly the state re-entry ``_rrun_memo`` detects: ``t1``
+    is the first time index whose recorded row repeats an earlier row
+    ``j``; from ``j`` on the sequence is periodic with period
+    ``t1 - j``.  Returns ``None`` when no row repeats.
     """
     arr = np.ascontiguousarray(rows)
     _, first_index, inverse = np.unique(
@@ -1130,13 +1047,13 @@ def _first_state_reentry(rows: np.ndarray) -> Optional[Tuple[int, int]]:
     return int(first_occurrence[t1]), t1
 
 
-# -- cycle-axis vectorisation (the third execution tier) -------------------
+# -- cycle-axis vectorisation -----------------------------------------------
 
-#: Op kinds the vectorised tier always keeps in the scalar phase-1
-#: residue: transition tables (sparse dict semantics whose ``KeyError``
-#: must fire at the first offending cycle), opaque lookup callables,
-#: input ports (arbitrary stimulus callables) and transition tables too
-#: wide to densify.
+#: Op kinds always kept in the per-cycle phase-1 residue: transition
+#: tables (sparse dict semantics whose ``KeyError`` must fire at the
+#: first offending cycle), opaque lookup callables, input ports
+#: (arbitrary stimulus callables) and transition tables too wide to
+#: densify.
 _VECTOR_CORE_KINDS = frozenset({"tt", "widett", "port", "opaque"})
 
 
@@ -1175,7 +1092,7 @@ class _VectorPlan:
     """How one netlist shape splits into sequential residue + kernels.
 
     ``core_ops`` / ``core_regs`` / ``core_wires`` describe phase 1: the
-    ops, registers and recorded wires of the reduced scalar step loop.
+    ops, registers and recorded wires of the per-cycle residue loop.
     ``kernels`` is the topologically ordered phase-2 program that
     reconstructs every remaining wire column for all cycles at once.
     ``depth`` is the longest chain of peeled registers: a full value
@@ -1188,11 +1105,6 @@ class _VectorPlan:
     core_regs: Tuple[int, ...]
     kernels: Tuple[tuple, ...]
     depth: int
-
-    @property
-    def profitable(self) -> bool:
-        """True when phase 2 reconstructs at least one computed wire."""
-        return any(kernel[0] != "hold" for kernel in self.kernels)
 
 
 def _vector_partition(
@@ -1376,11 +1288,11 @@ def _apply_vector_kernels(
     ``values`` is ``(rows, n_wires)`` or ``(rows, n_wires, batch)``
     with row 0 (the settled baseline) and every core column already
     filled; each kernel fills one non-core column for rows ``1..``.
-    The arithmetic mirrors the scalar statements operation for
-    operation over uint64, so reconstructed columns are bit-identical
-    to stepped ones.  ``slot_ragged[slot]`` marks per-lane stacked
-    tables (indexed through ``lanes``); scalar execution passes all-
-    ``False`` and ``lanes=None``.
+    The arithmetic mirrors the generated integer statements operation
+    for operation over uint64, so reconstructed columns are
+    bit-identical to stepped ones.  ``slot_ragged[slot]`` marks
+    per-lane stacked tables (indexed through ``lanes``); single-netlist
+    execution passes all-``False`` and ``lanes=None``.
     """
     body = values[1:]
     one = np.uint64(1)
@@ -1606,16 +1518,9 @@ class CompiledNetlist:
         self._slot_kinds = tuple(lowering.slot_kinds)
         self._slot_values = tuple(lowering.slot_values)
         self._settle = None
-        self._run = None
-        self._run_memo = None
         self._rrun = None
         self._rrun_memo = None
         self._memo_ok = not lowering.ports
-        #: Vectorisation policy: ``"auto"`` uses the cycle-axis kernels
-        #: when the plan reconstructs at least one computed wire,
-        #: ``True`` forces them, ``False`` pins the scalar generated
-        #: loop (the oracle the vectorised tier is tested against).
-        self.vectorise: object = "auto"
         self._vector_plan: Optional[_VectorPlan] = None
         self._vector_slots: Optional[Tuple[tuple, tuple]] = None
         #: Invalidation token: the owning netlist's compile generation
@@ -1645,7 +1550,7 @@ class CompiledNetlist:
         (they are pure in their arguments, so sharing is safe).
         """
         self._check_generation()
-        if self._run is not None:
+        if self._settle is not None:
             return
         key = self.structural_key
         if key is not None:
@@ -1653,8 +1558,8 @@ class CompiledNetlist:
             if cached is not None:
                 _PROGRAM_CACHE.move_to_end(key)
                 (
-                    self.source, self._settle, self._run, self._run_memo,
-                    self._rrun, self._rrun_memo, self._vector_plan,
+                    self.source, self._settle, self._rrun, self._rrun_memo,
+                    self._vector_plan,
                 ) = cached
                 self.program_shared = True
                 self._lowering = None
@@ -1663,16 +1568,14 @@ class CompiledNetlist:
         lowering.generate_program()
         self.source: str = lowering.source
         self._settle = lowering.namespace["_settle"]
-        self._run = lowering.namespace["_run"]
-        self._run_memo = lowering.namespace["_run_memo"]
         self._rrun = lowering.namespace["_rrun"]
         self._rrun_memo = lowering.namespace["_rrun_memo"]
         self._vector_plan = lowering.vector_plan
         self._lowering = None
         if key is not None:
             _PROGRAM_CACHE[key] = (
-                self.source, self._settle, self._run, self._run_memo,
-                self._rrun, self._rrun_memo, self._vector_plan,
+                self.source, self._settle, self._rrun, self._rrun_memo,
+                self._vector_plan,
             )
             while len(_PROGRAM_CACHE) > PROGRAM_CACHE_MAX:
                 _PROGRAM_CACHE.popitem(last=False)
@@ -1691,75 +1594,28 @@ class CompiledNetlist:
             tuple(port._cycle for port in self._ports),
         )
 
-    def _simulate(self, cycles: int, reset: bool) -> np.ndarray:
-        """Value matrix ``(cycles + 1, n_wires)``: row 0 is the baseline."""
-        self._ensure_program()
-        init, offsets = self._baseline(reset)
-        runner = (
-            self._run_memo
-            if self._memo_ok and cycles >= MEMO_MIN_CYCLES
-            else self._run
-        )
-        rows, repeat = runner(cycles, init, offsets)
-        base = np.array(rows, dtype=np.uint64)
-        if base.ndim == 1:  # zero-wire netlist
-            base = base.reshape(len(rows), 0)
-        if repeat is None:
-            values = base
-        else:
-            # rows[len(rows)] would equal rows[repeat]: the design
-            # re-entered a previous state.  Tile the periodic suffix.
-            period = len(rows) - repeat
-            missing = cycles + 1 - len(rows)
-            tiled = base[repeat + (np.arange(missing) % period)]
-            values = np.concatenate([base, tiled], axis=0)
-        self._write_back(values, offsets, cycles)
-        return values
-
     def _write_back(
         self, values: np.ndarray, offsets: Tuple[int, ...], cycles: int
     ) -> None:
         """Mirror the run's final state onto the netlist objects."""
-        last = values[-1]
-        prev = values[-2] if len(values) > 1 else values[-1]
-        for i, wire in enumerate(self._wires):
-            wire.value = int(last[i])
-            wire.previous = int(prev[i])
+        last = values[-1].tolist()
+        prev = values[-2].tolist() if len(values) > 1 else last
+        for wire, value, previous in zip(self._wires, last, prev):
+            wire.value = value
+            wire.previous = previous
         for register in self._registers:
             q = self._index[id(register.q)]
-            register._captured = int(last[q])
-            register._last_toggles = int(last[q] ^ prev[q]).bit_count()
+            register._captured = last[q]
+            register._last_toggles = (last[q] ^ prev[q]).bit_count()
         for port, offset in zip(self._ports, offsets):
             port._cycle = offset + cycles
-
-    # -- activity ----------------------------------------------------------
-
-    def _activity_matrix(self, values: np.ndarray, cycles: int) -> np.ndarray:
-        return _activity_from_values(values, cycles, self._specs)
-
-    # -- cycle-axis vectorised execution -----------------------------------
-
-    def _vector_active(self) -> bool:
-        """Whether :meth:`run` should use the vectorised tier."""
-        if self.vectorise is False:
-            return False
-        self._ensure_program()
-        if self.vectorise == "auto":
-            return self._vector_plan.profitable
-        return True
-
-    @property
-    def tier(self) -> str:
-        """Execution tier :meth:`run` selects: ``"vectorised"`` or
-        ``"scalar"`` (the generated per-cycle loop)."""
-        return "vectorised" if self._vector_active() else "scalar"
 
     def _vector_slot_data(self) -> Tuple[tuple, tuple]:
         """Kernel-ready ``(slot data, slot raggedness)`` for this netlist.
 
         Table slots become uint64 arrays for gather kernels; constants
         become plain ints; transition-table slots stay ``None`` (those
-        ops are always core).  A scalar execution is never ragged.
+        ops are always core).  A single netlist is never ragged.
         """
         if self._vector_slots is None:
             data: List[object] = []
@@ -1777,7 +1633,7 @@ class CompiledNetlist:
         self, cycles: int, reset: bool
     ) -> Tuple[_VectorPlan, np.ndarray, np.ndarray, Optional[Tuple[int, int]],
                Tuple[int, ...]]:
-        """Run phase 1: the reduced scalar loop over the core residue.
+        """Run phase 1: the per-cycle loop over the core residue.
 
         Returns the plan, the full settled baseline row, the stepped
         ``(rows, n_core)`` core matrix, the core re-entry ``(j, t1)``
@@ -1801,35 +1657,16 @@ class CompiledNetlist:
         init_row = np.array(init, dtype=np.uint64)
         return plan, init_row, core_rows, repeat, offsets
 
-    def _vector_full_values(self, cycles: int, reset: bool) -> np.ndarray:
-        """Complete ``(cycles + 1, n_wires)`` matrix via the vector tier.
+    # -- public API --------------------------------------------------------
 
-        Memoised runs expand the periodic suffix into real rows — this
-        backs :meth:`wire_sequence`, whose output is O(cycles) anyway.
-        Also mirrors the final state back onto the netlist objects.
+    def run(self, cycles: int, reset: bool = True) -> ActivityTrace:
+        """Simulate ``cycles`` clock periods and return the activity.
+
+        Steps the residue, then expands it with the kernels; memoised
+        runs tile the periodic activity suffix instead of expanding it.
         """
-        plan, init_row, core_rows, repeat, offsets = self._vector_arrays(
-            cycles, reset
-        )
-        slot_data, slot_ragged = self._vector_slot_data()
-        if repeat is None:
-            values = _vector_reconstruct(
-                init_row, core_rows, plan.core_wires, plan.kernels,
-                slot_data, slot_ragged, None,
-            )
-        else:
-            values, last, start, period = _vector_prefix(
-                init_row, core_rows, repeat, cycles, plan.core_wires,
-                plan.kernels, slot_data, slot_ragged, plan.depth,
-            )
-            if cycles > last:
-                suffix = start + (np.arange(last + 1, cycles + 1) - start) % period
-                values = np.concatenate([values, values[suffix]], axis=0)
-        self._write_back(values, offsets, cycles)
-        return values
-
-    def _run_vectorised(self, cycles: int, reset: bool) -> ActivityTrace:
-        """One vectorised-tier run: reduced stepping + kernel expansion."""
+        if cycles <= 0:
+            raise ValueError(f"cycles must be positive, got {cycles}")
         plan, init_row, core_rows, repeat, offsets = self._vector_arrays(
             cycles, reset
         )
@@ -1850,29 +1687,37 @@ class CompiledNetlist:
             self._write_back(last_two, offsets, cycles)
         return ActivityTrace(self.channels, matrix)
 
-    # -- public API --------------------------------------------------------
-
-    def run(self, cycles: int, reset: bool = True) -> ActivityTrace:
-        """Simulate ``cycles`` clock periods and return the activity."""
-        if cycles <= 0:
-            raise ValueError(f"cycles must be positive, got {cycles}")
-        if self._vector_active():
-            return self._run_vectorised(cycles, reset)
-        values = self._simulate(cycles, reset)
-        return ActivityTrace(self.channels, self._activity_matrix(values, cycles))
-
     def wire_sequence(self, wire: Wire, cycles: int) -> List[int]:
-        """Settled values of one wire after each clock edge (with reset)."""
+        """Settled values of one wire after each clock edge (with reset).
+
+        Memoised runs expand the periodic suffix into real rows (the
+        output is O(cycles) anyway); the final state is mirrored back
+        onto the netlist objects as after :meth:`run`.
+        """
         index = self._index.get(id(wire))
         if index is None:
             raise KeyError(
                 f"wire {wire.name!r} is not part of netlist {self.netlist.name!r}"
             )
         cycles = max(cycles, 0)
-        if self._vector_active():
-            values = self._vector_full_values(cycles, reset=True)
+        plan, init_row, core_rows, repeat, offsets = self._vector_arrays(
+            cycles, True
+        )
+        slot_data, slot_ragged = self._vector_slot_data()
+        if repeat is None:
+            values = _vector_reconstruct(
+                init_row, core_rows, plan.core_wires, plan.kernels,
+                slot_data, slot_ragged, None,
+            )
         else:
-            values = self._simulate(cycles, reset=True)
+            values, last, start, period = _vector_prefix(
+                init_row, core_rows, repeat, cycles, plan.core_wires,
+                plan.kernels, slot_data, slot_ragged, plan.depth,
+            )
+            if cycles > last:
+                suffix = start + (np.arange(last + 1, cycles + 1) - start) % period
+                values = np.concatenate([values, values[suffix]], axis=0)
+        self._write_back(values, offsets, cycles)
         return [int(v) for v in values[1:, index]]
 
 
@@ -1900,7 +1745,6 @@ def run_batch(
     engines: Sequence[CompiledNetlist],
     cycles: CyclesLike,
     reset: bool = True,
-    vectorise: object = "auto",
 ) -> List[ActivityTrace]:
     """Execute N shape-compatible compiled netlists in one batched run.
 
@@ -1914,17 +1758,12 @@ def run_batch(
     batch size (including 1) and any lane order.
 
     The speedup comes from amortising the Python step loop: one
-    iteration advances every lane via ``(batch,)`` vector operations,
-    per-lane constants/tables are indexed by lane, and runs past
+    iteration advances the sequential residue of every lane via
+    ``(batch,)`` vector operations, per-lane constants/tables are
+    indexed by lane, the kernels then rebuild every remaining wire
+    column for all ``cycles × lanes`` at once, and runs past
     :data:`MEMO_MIN_CYCLES` detect each lane's state re-entry
     independently and tile the periodic suffix instead of stepping.
-
-    ``vectorise`` composes the cycle-axis kernel plan with the batch
-    axis: ``"auto"`` (the default) steps only the sequential residue
-    per cycle when the plan reconstructs something, then rebuilds all
-    remaining wire columns for every ``cycle × lane`` at once; ``True``
-    forces that mode, ``False`` pins the full per-cycle batch loop.
-    All three settings produce identical trace bytes.
     """
     engines = list(engines)
     if not engines:
@@ -1947,18 +1786,13 @@ def run_batch(
     batch = len(engines)
     n_wires, regs, ops, slot_kinds = engines[0].batch_plan
     lanes = [engine.batch_lane for engine in engines]
-    partition: Optional[_VectorPlan] = None
-    if vectorise is not False:
-        candidate = _BATCH_PLAN_CACHE.get(shape_key)
-        if candidate is None:
-            candidate = _vector_partition(n_wires, regs, ops)
-            _BATCH_PLAN_CACHE[shape_key] = candidate
-            while len(_BATCH_PLAN_CACHE) > PROGRAM_CACHE_MAX:
-                _BATCH_PLAN_CACHE.popitem(last=False)
-        else:
-            _BATCH_PLAN_CACHE.move_to_end(shape_key)
-        if vectorise is True or candidate.profitable:
-            partition = candidate
+    if shape_key in _BATCH_PLAN_CACHE:
+        _BATCH_PLAN_CACHE.move_to_end(shape_key)
+    else:
+        _BATCH_PLAN_CACHE[shape_key] = _vector_partition(n_wires, regs, ops)
+        while len(_BATCH_PLAN_CACHE) > PROGRAM_CACHE_MAX:
+            _BATCH_PLAN_CACHE.popitem(last=False)
+    partition = _BATCH_PLAN_CACHE[shape_key]
 
     # Per-slot data: uniform table slots collapse to one 1-D array (and
     # a cheaper generated indexing mode); everything else stacks per lane.
@@ -2009,16 +1843,10 @@ def run_batch(
         ).T
 
     # The settled full baseline, kept for phase-2 reconstruction; the
-    # step loop only records ``record`` columns (all wires without a
-    # partition, the core residue with one).
+    # step loop only records the core residue columns.
     state0 = np.ascontiguousarray(np.asarray(state))
-    if partition is None:
-        n_record = n_wires
-        record0 = state0
-    else:
-        record_index = np.asarray(partition.core_wires, dtype=np.intp)
-        n_record = len(partition.core_wires)
-        record0 = state0[record_index]
+    n_record = len(partition.core_wires)
+    record0 = state0[np.asarray(partition.core_wires, dtype=np.intp)]
 
     max_cycles = max(lane_cycles)
     repeats: List[Optional[Tuple[int, int]]] = [None] * batch
@@ -2077,16 +1905,13 @@ def run_batch(
     traces: List[ActivityTrace] = []
     slot_ragged = tuple(u is False for u in uniform)
     if stepped == max_cycles:
-        # Every lane was stepped in full: expand the core recording (a
-        # no-op without a partition), one batched activity pass, then
-        # per-lane prefix slices for ragged cycle counts.
-        if partition is None:
-            full = values
-        else:
-            full = _vector_reconstruct(
-                state0, values, partition.core_wires, partition.kernels,
-                data_tuple, slot_ragged, data_tuple[-1],
-            )
+        # Every lane was stepped in full: expand the core recording,
+        # one batched activity pass, then per-lane prefix slices for
+        # ragged cycle counts.
+        full = _vector_reconstruct(
+            state0, values, partition.core_wires, partition.kernels,
+            data_tuple, slot_ragged, data_tuple[-1],
+        )
         params = _lane_act_params(engines[0]._specs, lanes)
         activity = _activity_from_values(
             full, max_cycles, engines[0]._specs, params
@@ -2100,32 +1925,11 @@ def run_batch(
                 count,
             )
             traces.append(ActivityTrace(engine.channels, matrix))
-    elif partition is None:
-        # Memoised early stop: assemble each lane's full value matrix
-        # (stepped prefix + tiled periodic suffix) and reuse the shared
-        # activity kernel per lane.
-        for lane_index, engine in enumerate(engines):
-            count = lane_cycles[lane_index]
-            lane_values = np.ascontiguousarray(values[:, :, lane_index])
-            if count + 1 > lane_values.shape[0]:
-                j, t1 = repeats[lane_index]
-                period = t1 - j
-                missing = count + 1 - lane_values.shape[0]
-                absolute = stepped + 1 + np.arange(missing)
-                lane_values = np.concatenate(
-                    [lane_values, lane_values[j + (absolute - t1) % period]],
-                    axis=0,
-                )
-            else:
-                lane_values = lane_values[:count + 1]
-            matrix = _activity_from_values(lane_values, count, engine._specs)
-            engine._write_back(lane_values[-2:], (), count)
-            traces.append(ActivityTrace(engine.channels, matrix))
     else:
-        # Memoised early stop with a kernel plan: each lane expands its
-        # own core recording — tiling the periodic activity suffix for
-        # lanes that stopped early, plain reconstruction for lanes whose
-        # requested cycles fit in the stepped prefix.
+        # Memoised early stop: each lane expands its own core recording
+        # — tiling the periodic activity suffix for lanes that stopped
+        # early, plain reconstruction for lanes whose requested cycles
+        # fit in the stepped prefix.
         no_ragged = (False,) * len(slot_kinds)
         for lane_index, engine in enumerate(engines):
             count = lane_cycles[lane_index]

@@ -5,36 +5,29 @@ the original object-walking loop but delegates to one of two engines
 from :mod:`repro.hdl.engine`:
 
 * ``"compiled"`` — the netlist is lowered once into a flat,
-  table-driven program: a code-generated step function advances all
-  registers and combinational logic per clock, and switching activity
-  is accumulated into the ``(cycles, channels)`` matrix with
-  vectorised NumPy Hamming weights, with zero per-cycle object
-  allocation.  This choice pins the *scalar* generated loop — the
-  oracle the vectorised tier is tested against.
-* ``"vectorised"`` — the compiled engine's third tier: only the
+  table-driven program: a code-generated loop steps only the
   sequential residue (registers on feedback cycles, transition tables,
-  ports and their fan-in) steps cycle by cycle; every feed-forward
-  wire column is reconstructed for all cycles at once by numpy
-  kernels.  Raises when the netlist cannot be compiled.
-* ``"interpreted"`` — the original per-object loop, retained as a
+  ports and their fan-in) cycle by cycle, numpy kernels rebuild every
+  feed-forward wire column for all cycles at once, and switching
+  activity is accumulated into the ``(cycles, channels)`` matrix with
+  vectorised Hamming weights, with zero per-cycle object allocation.
+  Raises when the netlist cannot be compiled.
+* ``"interpreted"`` — the original per-object loop, retained as the
   reference oracle.  ``tests/test_engine.py`` asserts bit-identical
   activity matrices between engines for every paper design.
 
-``"auto"`` (the default) tries the compiled engine and lets it choose
-the tier per netlist — vectorised when the kernel plan reconstructs at
-least one computed wire, the scalar loop when the sequential residue
-is the whole design — and silently falls back to the interpreted loop
-for netlists the lowering pass does not support (custom component
-classes, >63-bit buses, wires not registered in the netlist).  All
-engines produce bit-identical activity; the choice is purely an
-execution strategy.
+``"auto"`` (the default) tries the compiled engine and silently falls
+back to the interpreted loop for netlists the lowering pass does not
+support (custom component classes, >63-bit buses, wires not
+registered in the netlist).  Both engines produce bit-identical
+activity; the choice is purely an execution strategy.
 
 Fleet-scale workloads use :func:`simulate_batch`: it groups many
 simulators by the compiled engine's *shape key* and executes each
-group in one vectorised :func:`~repro.hdl.engine.run_batch` call,
-falling back to per-simulator ``run`` for lanes the batched path does
-not cover.  Batched results are byte-identical to the scalar loop —
-batching is purely an execution strategy, never a semantic choice.
+group in one :func:`~repro.hdl.engine.run_batch` call, falling back to
+per-simulator ``run`` for lanes the batched path does not cover.
+Batched results are byte-identical to per-simulator runs — batching is
+purely an execution strategy, never a semantic choice.
 
 Each simulated cycle models one clock period of the synchronous design:
 wires latch their settled values as "previous", registers capture and
@@ -61,17 +54,15 @@ from repro.hdl.engine import (
 from repro.hdl.netlist import Netlist
 
 #: Engine selectors accepted by :class:`Simulator`.
-ENGINES = ("auto", "compiled", "vectorised", "interpreted")
+ENGINES = ("auto", "compiled", "interpreted")
 
 
 class Simulator:
     """Runs a netlist for a number of cycles and records activity.
 
     ``engine`` selects the execution strategy: ``"auto"`` (compiled
-    with per-netlist tier choice and interpreted fallback),
-    ``"compiled"`` (scalar generated loop; raise
-    :class:`~repro.hdl.engine.CompileError` when lowering fails),
-    ``"vectorised"`` (cycle-axis kernels; raise when lowering fails) or
+    with interpreted fallback), ``"compiled"`` (raise
+    :class:`~repro.hdl.engine.CompileError` when lowering fails) or
     ``"interpreted"`` (always use the reference loop).
     """
 
@@ -108,16 +99,9 @@ class Simulator:
         try:
             self._engine = compile_netlist(self.netlist)
         except CompileError:
-            if self._engine_choice in ("compiled", "vectorised"):
+            if self._engine_choice == "compiled":
                 raise
             self._engine = InterpretedEngine(self.netlist)
-            return
-        if self._engine_choice == "compiled":
-            # Pin the scalar generated loop: this choice is the oracle
-            # the vectorised tier is byte-compared against.
-            self._engine.vectorise = False
-        elif self._engine_choice == "vectorised":
-            self._engine.vectorise = True
 
     @property
     def engine_name(self) -> str:
@@ -171,7 +155,7 @@ def simulate_batch(
     :attr:`~repro.hdl.engine.CompiledNetlist.shape_key` execute in one
     :func:`~repro.hdl.engine.run_batch` call per group; singleton
     groups, interpreted engines and unbatchable netlists run through the
-    ordinary scalar ``run``.  Results come back in input order and are
+    ordinary per-simulator ``run``.  Results come back in input order and are
     byte-identical — traces and post-run netlist state — to calling
     ``simulator.run(cycles, reset)`` in a loop.
     """
@@ -186,7 +170,7 @@ def simulate_batch(
         shape_key = getattr(engine, "shape_key", None)
         # A netlist appearing twice (same simulator listed again, or
         # two simulators sharing one netlist) batches only once; its
-        # later positions run through the scalar loop below *after*
+        # later positions run through ``run`` below *after*
         # the batch wrote the first run's state back, which preserves
         # the sequential loop's continuation semantics exactly.
         if shape_key is not None and id(simulator.netlist) not in seen_netlists:

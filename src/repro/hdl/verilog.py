@@ -15,8 +15,8 @@ comments, which makes the emitted text *round-trippable*:
 :func:`repro.hdl.verilog_parse.parse_verilog` reads this exact subset
 back into a validated :class:`~repro.hdl.netlist.Netlist`, and for
 every paper design ``parse_verilog(export_verilog(n))`` simulates
-bit-identically to ``n`` (state and activity) on all three engine
-tiers — the invariant pinned in ``tests/test_verilog_parse.py``.
+bit-identically to ``n`` (state and activity) on both engines — the
+invariant pinned in ``tests/test_verilog_parse.py``.
 Running the text through a real tool (Icarus, Verilator, vendor flows)
 still works; the constructs used are the plainest possible.
 """

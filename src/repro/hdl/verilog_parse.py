@@ -9,7 +9,7 @@ tables for ROMs and transition tables — plus the gate-primitive
 instances (``and``/``nand``/``or``/``nor``/``xor``/``xnor``/``not``/
 ``buf``) used by third-party ISCAS-style benchmark netlists.  The
 result is a validated :class:`~repro.hdl.netlist.Netlist` ready for
-watermark insertion, fleet manufacture and every engine tier.
+watermark insertion, fleet manufacture and both engines.
 
 Reconstruction is *structural*: expression shapes are recognised back
 into the component vocabulary (``a + N'd1`` → ``Incrementer``,
@@ -23,7 +23,7 @@ ROM markers and clock-tree loads ride in comments
 from the exporter-emitting vocabulary
 ``parse_verilog(export_verilog(n))`` reconstructs the same component
 list in the same order — the round-trip is bit-identical in state *and*
-activity on all three engine tiers (pinned in
+activity on both engines (pinned in
 ``tests/test_verilog_parse.py``).
 
 Known, documented lossy corners (none of which occur in the paper

@@ -50,6 +50,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.experiments.runner import CampaignConfig, apply_config_overrides
+from repro.hdl.simulator import ENGINES
 
 #: Version stamped into every scenario digest; bump when the scenario
 #: encoding or the result payload changes incompatibly.
@@ -147,6 +148,18 @@ def _check_value(field_name: str, value: object) -> None:
         )
 
 
+def _check_engine(path: str, value: object) -> None:
+    """Reject an engine name the simulator would refuse per scenario.
+
+    Checked up front so a misspelled engine fails the spec instead of
+    every scenario failing, being retried and being quarantined.
+    """
+    if value not in ENGINES:
+        raise SpecValidationError(
+            path, f"unknown engine {value!r}; choose from {list(ENGINES)}"
+        )
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """One swept dimension with an explicit value list."""
@@ -223,6 +236,12 @@ class SweepSpec:
         for key, value in self.base.items():
             _check_field(key)
             _check_value(key, value)
+        if "engine" in self.base:
+            _check_engine("base.engine", self.base["engine"])
+        for i, axis in enumerate(self.grid):
+            if axis.field == "engine":
+                for value in axis.values:
+                    _check_engine(f"grid[{i}].values", value)
         fields = [axis.field for axis in self.grid] + [
             axis.field for axis in self.random
         ]
@@ -350,6 +369,8 @@ class SweepSpec:
                 base=dict(base),
                 seed=seed,
             )
+        except SpecValidationError:
+            raise
         except (KeyError, ValueError, TypeError) as error:
             message = error.args[0] if error.args else str(error)
             raise SpecValidationError("$", str(message)) from error

@@ -12,6 +12,7 @@ from repro.core.report import (
     render_verdicts,
     summarize_scores,
 )
+from repro.hdl.simulator import ENGINES
 
 
 class TestPublicAPI:
@@ -159,6 +160,15 @@ class TestSweepCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--engine", "warp", "campaign"])
         capsys.readouterr()
+
+    def test_engine_flag_rejects_removed_vectorised_choice(self, capsys):
+        # The --engine choices follow the simulator's ENGINES.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--engine", "vectorised", "campaign"])
+        capsys.readouterr()
+        for engine in ENGINES:
+            args = build_parser().parse_args(["--engine", engine, "campaign"])
+            assert args.engine == engine
 
     def test_sweep_command_runs_and_resumes(self, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -340,7 +340,7 @@ class TestProgramSharing:
         trace_b = second.run(32)
         assert program_cache_size() == 1
         assert second.program_shared and not first.program_shared
-        assert second._run is first._run
+        assert second._rrun is first._rrun
         assert np.array_equal(trace_a.matrix, trace_b.matrix)
 
     def test_distinct_structures_get_distinct_programs(self):

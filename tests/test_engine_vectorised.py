@@ -1,15 +1,13 @@
-"""Golden equivalence tests for the cycle-axis vectorised tier.
+"""Golden equivalence tests for the compiled engine's kernel path.
 
-The compiled engine's third tier steps only the *sequential residue*
-(registers on feedback cycles, transition tables, ports and their
-fan-in) cycle by cycle and reconstructs every feed-forward wire column
-for all cycles at once with numpy kernels.  Like batching, the tier is
-an execution strategy, never a semantic choice: every test here proves
-byte-identity against the scalar generated loop (itself bit-identical
-to the interpreted oracle) — for every paper design, ragged cycle
-counts, memoised long runs, forced-core components and the composition
-with the batch axis — or pins the tier-selection and invalidation
-contracts.
+The compiled engine steps only the *sequential residue* (registers on
+feedback cycles, transition tables, ports and their fan-in) cycle by
+cycle and reconstructs every feed-forward wire column for all cycles
+at once with numpy kernels.  That is an execution strategy, never a
+semantic choice: every test here proves byte-identity against the
+interpreted oracle — for every paper design, a design that is all
+residue, ragged cycle counts, memoised long runs, forced-core
+components and the batch axis — or pins the invalidation contract.
 """
 
 import numpy as np
@@ -43,11 +41,11 @@ def paper_netlist(ip_name):
     return build_paper_ip(ip_name).netlist
 
 
-def engine_trio(build):
-    """(vectorised, compiled-scalar, interpreted) simulators of one design."""
+def engine_pair(build):
+    """(compiled, interpreted) simulators of one design."""
     return tuple(
         Simulator(build(), engine=choice)
-        for choice in ("vectorised", "compiled", "interpreted")
+        for choice in ("compiled", "interpreted")
     )
 
 
@@ -55,6 +53,12 @@ def assert_traces_equal(a, b):
     assert a.channels == b.channels
     assert a.matrix.shape == b.matrix.shape
     np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def assert_wire_states_equal(a, b):
+    for name, wire in a.netlist.wires.items():
+        other = b.netlist.wires[name]
+        assert (wire.value, wire.previous) == (other.value, other.previous)
 
 
 def feedback_only_netlist():
@@ -90,70 +94,76 @@ def peeled_chain_netlist():
     return netlist
 
 
+#: Golden-equivalence inputs: the paper designs plus one design whose
+#: residue is the whole netlist, so nothing is left for the kernels.
+GOLDEN_DESIGNS = {
+    name: (lambda n=name: paper_netlist(n)) for name in PAPER_IP_NAMES
+}
+GOLDEN_DESIGNS["residue"] = feedback_only_netlist
+
+
 class TestPaperDesignGoldenEquivalence:
-    @pytest.mark.parametrize("ip_name", PAPER_IP_NAMES)
+    @pytest.mark.parametrize("ip_name", list(GOLDEN_DESIGNS))
     @pytest.mark.parametrize("cycles", [1, 7, PERIOD_CYCLES, 3 * PERIOD_CYCLES + 5])
     def test_activity_matches_both_oracles(self, ip_name, cycles):
-        vectorised, scalar, interpreted = engine_trio(
-            lambda: paper_netlist(ip_name)
+        # Fresh runs and a continuation run both match the oracle.
+        compiled, interpreted = engine_pair(GOLDEN_DESIGNS[ip_name])
+        assert_traces_equal(compiled.run(cycles), interpreted.run(cycles))
+        assert_traces_equal(
+            compiled.run(cycles, reset=False),
+            interpreted.run(cycles, reset=False),
         )
-        trace = vectorised.run(cycles)
-        assert_traces_equal(trace, scalar.run(cycles))
-        assert_traces_equal(trace, interpreted.run(cycles))
 
     @pytest.mark.parametrize("ip_name", PAPER_IP_NAMES)
     def test_post_run_wire_state_matches_scalar(self, ip_name):
-        vectorised, scalar, _ = engine_trio(lambda: paper_netlist(ip_name))
+        # The interpreted oracle is the per-cycle scalar reference.
+        compiled, interpreted = engine_pair(lambda: paper_netlist(ip_name))
         cycles = PERIOD_CYCLES + 3
-        vectorised.run(cycles)
-        scalar.run(cycles)
-        for name, wire in vectorised.netlist.wires.items():
-            other = scalar.netlist.wires[name]
-            assert (wire.value, wire.previous) == (other.value, other.previous)
+        compiled.run(cycles)
+        interpreted.run(cycles)
+        assert_wire_states_equal(compiled, interpreted)
 
     @pytest.mark.parametrize("ip_name", PAPER_IP_NAMES)
     def test_register_sequences_match_interpreted(self, ip_name):
-        vectorised, _, interpreted = engine_trio(lambda: paper_netlist(ip_name))
+        compiled, interpreted = engine_pair(lambda: paper_netlist(ip_name))
         registers = [
             c.name
-            for c in vectorised.netlist.components
+            for c in compiled.netlist.components
             if isinstance(c, DRegister)
         ]
         assert registers
         for name in registers:
-            assert vectorised.state_sequence(
+            assert compiled.state_sequence(
                 name, 2 * PERIOD_CYCLES
             ) == interpreted.state_sequence(name, 2 * PERIOD_CYCLES)
 
     def test_nonpositive_cycles_rejected_identically(self):
-        vectorised, scalar, _ = engine_trio(lambda: paper_netlist("IP_A"))
-        for simulator in (vectorised, scalar):
+        for simulator in engine_pair(lambda: paper_netlist("IP_A")):
             with pytest.raises(ValueError, match="cycles must be positive"):
                 simulator.run(0)
 
 
+
 class TestTierSelection:
     def test_paper_designs_select_the_vectorised_tier(self):
+        # The cycle-axis kernel path is the only compiled execution;
+        # every paper design reconstructs some wires with kernels.
         for ip_name in PAPER_IP_NAMES:
-            auto = Simulator(paper_netlist(ip_name))
-            assert auto.engine_name == "compiled"
-            assert auto._engine.tier == "vectorised"
+            simulator = Simulator(paper_netlist(ip_name))
+            simulator.run(8)
+            assert simulator.engine_name == "compiled"
+            kernels = simulator._engine._vector_plan.kernels
+            assert any(kernel[0] != "hold" for kernel in kernels)
 
-    def test_compiled_choice_pins_the_scalar_oracle(self):
-        scalar = Simulator(paper_netlist("IP_A"), engine="compiled")
-        assert scalar._engine.tier == "scalar"
-        assert scalar._engine.vectorise is False
-
-    def test_pure_residue_design_falls_back_to_scalar(self):
-        # Every wire sits on the FSM feedback path, so the kernel plan
-        # reconstructs nothing and "auto" keeps the scalar loop.
-        auto = Simulator(feedback_only_netlist())
-        assert auto._engine.tier == "scalar"
-        forced = Simulator(feedback_only_netlist(), engine="vectorised")
-        assert_traces_equal(
-            forced.run(64),
-            Simulator(feedback_only_netlist(), engine="compiled").run(64),
-        )
+    def test_pure_residue_design_runs_the_residue_path_without_kernels(self):
+        # Every wire sits on the FSM feedback path: "auto" still picks
+        # the compiled engine, whose kernel plan is empty.
+        simulator = Simulator(feedback_only_netlist())
+        simulator.run(16)
+        assert simulator.engine_name == "compiled"
+        plan = simulator._engine._vector_plan
+        assert plan.kernels == ()
+        assert plan.depth == 0
 
     def test_vectorised_choice_raises_on_uncompilable_netlists(self):
         class Opaque(Component):
@@ -161,8 +171,12 @@ class TestTierSelection:
 
         netlist = Netlist("custom")
         netlist.add(Opaque("mystery"))
-        with pytest.raises(CompileError):
+        # "vectorised" is no longer an engine choice at all.
+        with pytest.raises(ValueError, match="unknown engine 'vectorised'"):
             Simulator(netlist, engine="vectorised")
+        # "compiled" runs the kernel path and raises instead of falling back.
+        with pytest.raises(CompileError):
+            Simulator(netlist, engine="compiled")
         # "auto" quietly falls back to the interpreted loop instead.
         assert Simulator(netlist).engine_name == "interpreted"
 
@@ -170,15 +184,15 @@ class TestTierSelection:
 class TestRaggedAndContinuation:
     @pytest.mark.parametrize("cycles", [2, 3, 5, 63, 255, 257])
     def test_odd_cycle_counts(self, cycles):
-        vectorised, scalar, _ = engine_trio(lambda: paper_netlist("IP_B"))
-        assert_traces_equal(vectorised.run(cycles), scalar.run(cycles))
+        compiled, interpreted = engine_pair(lambda: paper_netlist("IP_B"))
+        assert_traces_equal(compiled.run(cycles), interpreted.run(cycles))
 
     def test_continuation_without_reset(self):
-        vectorised, scalar, _ = engine_trio(lambda: paper_netlist("IP_C"))
+        compiled, interpreted = engine_pair(lambda: paper_netlist("IP_C"))
         for cycles, reset in ((100, True), (50, False), (7, False)):
             assert_traces_equal(
-                vectorised.run(cycles, reset=reset),
-                scalar.run(cycles, reset=reset),
+                compiled.run(cycles, reset=reset),
+                interpreted.run(cycles, reset=reset),
             )
 
     def test_continuation_with_input_ports(self):
@@ -192,25 +206,26 @@ class TestRaggedAndContinuation:
             netlist.add(DRegister("reg", mixed, state))
             return netlist
 
-        vectorised, scalar, interpreted = engine_trio(build)
+        compiled, interpreted = engine_pair(build)
         for cycles, reset in ((33, True), (21, False)):
-            trace = vectorised.run(cycles, reset=reset)
-            assert_traces_equal(trace, scalar.run(cycles, reset=reset))
-            assert_traces_equal(trace, interpreted.run(cycles, reset=reset))
+            assert_traces_equal(
+                compiled.run(cycles, reset=reset),
+                interpreted.run(cycles, reset=reset),
+            )
 
 
 class TestMemoisedLongRuns:
     @pytest.mark.parametrize("ip_name", PAPER_IP_NAMES)
     def test_periodic_designs_tile_bit_identically(self, ip_name):
-        vectorised, scalar, _ = engine_trio(lambda: paper_netlist(ip_name))
+        compiled, interpreted = engine_pair(lambda: paper_netlist(ip_name))
         cycles = 16 * PERIOD_CYCLES
         assert cycles >= MEMO_MIN_CYCLES
-        assert_traces_equal(vectorised.run(cycles), scalar.run(cycles))
+        assert_traces_equal(compiled.run(cycles), interpreted.run(cycles))
 
     def test_memo_threshold_boundaries(self):
-        vectorised, scalar, _ = engine_trio(lambda: paper_netlist("IP_A"))
+        compiled, interpreted = engine_pair(lambda: paper_netlist("IP_A"))
         for cycles in (MEMO_MIN_CYCLES - 1, MEMO_MIN_CYCLES, MEMO_MIN_CYCLES + 1):
-            assert_traces_equal(vectorised.run(cycles), scalar.run(cycles))
+            assert_traces_equal(compiled.run(cycles), interpreted.run(cycles))
 
     def test_long_nonperiodic_run_matches(self):
         # A maximal-length LFSR does not re-enter its state within the
@@ -221,21 +236,21 @@ class TestMemoisedLongRuns:
             build_lfsr(netlist, 16, [15, 14, 12, 3], seed=1)
             return netlist
 
-        vectorised, scalar, _ = engine_trio(build)
-        assert_traces_equal(vectorised.run(2048), scalar.run(2048))
+        compiled, interpreted = engine_pair(build)
+        assert_traces_equal(compiled.run(2048), interpreted.run(2048))
 
     def test_peeled_register_chain_tiles_with_depth(self):
         # Peeled (acyclic) registers delay periodicity by the chain
         # depth; tiling must start at re-entry + depth, not re-entry.
-        vectorised = Simulator(peeled_chain_netlist(), engine="vectorised")
-        scalar = Simulator(peeled_chain_netlist(), engine="compiled")
-        assert vectorised._engine.tier == "vectorised"
+        compiled, interpreted = engine_pair(peeled_chain_netlist)
         for cycles in (40, MEMO_MIN_CYCLES + 37, 4 * MEMO_MIN_CYCLES):
-            assert_traces_equal(vectorised.run(cycles), scalar.run(cycles))
+            assert_traces_equal(compiled.run(cycles), interpreted.run(cycles))
+        assert compiled._engine._vector_plan.depth == 3
 
 
 class TestForcedCoreComponents:
     def test_opaque_lookup_logic_stays_on_the_scalar_path(self):
+        # An opaque callable is forced into the per-cycle residue loop.
         def build():
             netlist = Netlist("opaque")
             count = netlist.wire("count", 4)
@@ -248,10 +263,8 @@ class TestForcedCoreComponents:
             )
             return netlist
 
-        vectorised, scalar, interpreted = engine_trio(build)
-        trace = vectorised.run(200)
-        assert_traces_equal(trace, scalar.run(200))
-        assert_traces_equal(trace, interpreted.run(200))
+        compiled, interpreted = engine_pair(build)
+        assert_traces_equal(compiled.run(200), interpreted.run(200))
 
     def test_lookup_error_raises_identically(self):
         def build():
@@ -270,9 +283,9 @@ class TestForcedCoreComponents:
             netlist.add(LookupLogic("lut", [count], out, explode))
             return netlist
 
-        for choice in ("vectorised", "compiled"):
+        for simulator in engine_pair(build):
             with pytest.raises(RuntimeError, match="boom at 5"):
-                Simulator(build(), engine=choice).run(32)
+                simulator.run(32)
 
     def test_partial_transition_table_raises_key_error(self):
         def build():
@@ -283,9 +296,10 @@ class TestForcedCoreComponents:
             netlist.add(DRegister("reg", nxt, state))
             return netlist
 
-        for choice in ("vectorised", "compiled"):
-            with pytest.raises(KeyError, match="no transition entry"):
-                Simulator(build(), engine=choice).run(16)
+        with pytest.raises(KeyError, match="no transition entry"):
+            Simulator(build(), engine="compiled").run(16)
+        with pytest.raises(KeyError):
+            Simulator(build(), engine="interpreted").run(16)
 
 
 class TestBatchComposition:
@@ -295,40 +309,39 @@ class TestBatchComposition:
             for k in range(n)
         ]
 
-    def test_vectorised_batch_matches_scalar_batch(self):
-        cycles = [PERIOD_CYCLES, 7, 64, PERIOD_CYCLES + 9, 1]
-        kernel = run_batch(self.lanes(), cycles, vectorise=True)
-        scalar = run_batch(self.lanes(), cycles, vectorise=False)
-        for a, b in zip(kernel, scalar):
-            assert_traces_equal(a, b)
+    def reference(self, k, engine="interpreted"):
+        return Simulator(build_ip("ref", "gray", k).netlist, engine=engine)
 
     def test_memoised_batch_composition(self):
         cycles = [16 * PERIOD_CYCLES, MEMO_MIN_CYCLES, 3, 8 * PERIOD_CYCLES, 77]
-        kernel = run_batch(self.lanes(), cycles, vectorise=True)
-        scalar = run_batch(self.lanes(), cycles, vectorise=False)
-        for a, b in zip(kernel, scalar):
-            assert_traces_equal(a, b)
+        traces = run_batch(self.lanes(), cycles)
+        for k, (trace, count) in enumerate(zip(traces, cycles)):
+            assert_traces_equal(trace, self.reference(k).run(count))
 
     def test_batch_write_back_matches_scalar_run(self):
         batched = self.lanes(3)
-        run_batch(batched, 100, vectorise=True)
+        run_batch(batched, 100)
         for k, engine in enumerate(batched):
-            reference = Simulator(
-                build_ip("ref", "gray", k).netlist, engine="compiled"
-            )
+            reference = self.reference(k)
             reference.run(100)
-            for name, wire in engine.netlist.wires.items():
-                other = reference.netlist.wires[name]
-                assert (wire.value, wire.previous) == (other.value, other.previous)
+            assert_wire_states_equal(engine, reference)
+
+    def test_pure_residue_batch_matches_interpreted(self):
+        # Lanes with an empty kernel plan step only the residue loop.
+        lanes = [compile_netlist(feedback_only_netlist()) for _ in range(3)]
+        cycles = [64, 5, MEMO_MIN_CYCLES + 3]
+        traces = run_batch(lanes, cycles)
+        for trace, count in zip(traces, cycles):
+            reference = Simulator(feedback_only_netlist(), engine="interpreted")
+            assert_traces_equal(trace, reference.run(count))
 
     def test_auto_batch_matches_per_engine_runs(self):
-        batched = self.lanes()
-        traces = run_batch(batched, PERIOD_CYCLES)
+        traces = run_batch(self.lanes(), PERIOD_CYCLES)
         for k, trace in enumerate(traces):
-            reference = Simulator(
-                build_ip("ref", "gray", k).netlist, engine="compiled"
-            ).run(PERIOD_CYCLES)
-            assert_traces_equal(trace, reference)
+            assert_traces_equal(trace, self.reference(k).run(PERIOD_CYCLES))
+            assert_traces_equal(
+                trace, self.reference(k, "compiled").run(PERIOD_CYCLES)
+            )
 
 
 class TestInvalidationToken:

@@ -125,6 +125,15 @@ class TestHealthAndErrors:
         assert status == 400
         assert "spec.grid[0].field" in body["error"]
 
+    def test_unknown_engine_rejected_before_any_job(self, service):
+        instance, client = service
+        payload = quick_spec().to_json_dict()
+        payload["base"]["engine"] = "vectorized"
+        status, body = client.post("/sweeps", {"spec": payload})
+        assert status == 400
+        assert "spec.base.engine" in body["error"]
+        assert instance.jobs.jobs() == []
+
     def test_unknown_option_rejected(self, service):
         _, client = service
         status, body = client.post(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import CampaignConfig, apply_config_overrides
+from repro.hdl.simulator import ENGINES
 from repro.sweeps import (
     ATTACKS,
     SCHEMA_VERSION,
@@ -90,6 +91,26 @@ class TestSweepSpec:
             GridAxis("noise.sigmaa", (1.0,))
         with pytest.raises(KeyError, match="unknown sweep field"):
             SweepSpec(name="s", base={"nope": 1})
+
+    def test_unknown_engine_rejected_at_construction(self):
+        # A misspelled engine used to pass validation, then fail, retry
+        # and quarantine every scenario at run time.
+        with pytest.raises(SpecValidationError) as excinfo:
+            SweepSpec(name="s", base={"engine": "vectorized"})
+        assert excinfo.value.path == "base.engine"
+        grid = (
+            GridAxis("noise.sigma", (1.0,)),
+            GridAxis("engine", ("auto", "vectorised")),
+        )
+        with pytest.raises(SpecValidationError) as excinfo:
+            SweepSpec(name="s", grid=grid)
+        assert excinfo.value.path == "grid[1].values"
+        payload = quick_spec().to_json_dict()
+        payload["base"]["engine"] = "vectorized"
+        with pytest.raises(SpecValidationError) as excinfo:
+            SweepSpec.from_json_dict(payload)
+        assert excinfo.value.path == "base.engine"
+        SweepSpec(name="s", grid=(GridAxis("engine", ENGINES),))
 
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="no values"):

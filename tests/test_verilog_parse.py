@@ -2,8 +2,8 @@
 
 The pinned invariant: ``parse_verilog(export_verilog(n))`` simulates
 bit-identically — same activity matrix, same channel order, same state
-sequences — on every engine tier, for every paper design.  The vendored
-corpus under ``benchmarks/netlists/`` must agree across tiers too.
+sequences — on every engine, for every paper design.  The vendored
+corpus under ``benchmarks/netlists/`` must agree across engines too.
 """
 
 from pathlib import Path
@@ -32,7 +32,7 @@ from repro.hdl.verilog_parse import (
     parse_verilog_file,
 )
 
-ENGINES = ("interpreted", "compiled", "vectorised")
+ENGINES = ("interpreted", "compiled")
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "netlists"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.v"))
 
@@ -252,7 +252,7 @@ class TestLexerDetails:
 
 
 class TestCorpus:
-    """Every vendored benchmark parses and agrees across engine tiers."""
+    """Every vendored benchmark parses and agrees across engines."""
 
     def test_corpus_is_vendored(self):
         names = {path.name for path in CORPUS_FILES}
@@ -275,9 +275,9 @@ class TestCorpus:
         for engine in ENGINES:
             netlist = parse_verilog_file(str(path))
             traces[engine] = Simulator(netlist, engine=engine).run(32)
-        base = traces["interpreted"]
-        for engine in ("compiled", "vectorised"):
-            assert np.array_equal(traces[engine].matrix, base.matrix), engine
+        assert np.array_equal(
+            traces["compiled"].matrix, traces["interpreted"].matrix
+        )
 
 
 class TestImportedWorkloads:
