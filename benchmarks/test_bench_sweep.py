@@ -6,11 +6,10 @@ Measures the sweep runner on reduced-parameter grids:
   worker — the worker-process path has identical per-scenario cost
   plus dispatch overhead) and the warm path where every scenario is
   served from the content-addressed store;
-* the PR 5 *pooled* executor — cross-campaign batch pool + artifact
-  sharing + campaign-outcome memoisation — against the plain unpooled
-  executor on a shape-homogeneous analysis grid (one fleet, one
-  measurement tier, analysis axes only), cold-for-cold, plus the
-  repeat-study regime where every campaign outcome is memoised.
+* the *pooled* executor — cross-campaign batch pool + artifact
+  sharing — against the plain unpooled executor on a
+  shape-homogeneous analysis grid (one fleet, one measurement tier,
+  analysis axes only), cold-for-cold.
 
 Numbers land in ``BENCH_sweep.json``; the CI regression gate
 (``benchmarks/check_bench.py``) holds future PRs to them.
@@ -18,7 +17,9 @@ Numbers land in ``BENCH_sweep.json``; the CI regression gate
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import pathlib
 import shutil
 import tempfile
@@ -70,7 +71,7 @@ def _pooled_spec() -> SweepSpec:
 
     ``fleet_seed``/``measurement_seed`` are pinned so every scenario
     shares the fleet and measurement tiers — the regime the batch pool
-    and the artifact/outcome tiers are built for.
+    and the fleet/trace tiers are built for.
     """
     return SweepSpec(
         name="bench-pooled",
@@ -81,6 +82,18 @@ def _pooled_spec() -> SweepSpec:
         base=dict(BASE, **{"fleet_seed": 11, "measurement_seed": 12}),
         seed=2,
     )
+
+
+def _digests(root):
+    """sha256 of each top-level result file (dot-entries are metadata)."""
+    out = {}
+    for entry in sorted(os.listdir(root)):
+        path = os.path.join(root, entry)
+        if entry.startswith(".") or not os.path.isfile(path):
+            continue
+        with open(path, "rb") as handle:
+            out[entry] = hashlib.sha256(handle.read()).hexdigest()
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +153,8 @@ def test_bench_sweep_pooled_grid_unpooled(benchmark, results):
 
 
 def test_bench_sweep_pooled(benchmark, results):
-    """The PR 5 executor: batch pool + artifacts + outcome memo, cold."""
+    """The in-process executor with the batch pool and shared
+    artifacts, cold."""
     roots = []
 
     def setup():
@@ -160,79 +174,20 @@ def test_bench_sweep_pooled(benchmark, results):
 
     report = benchmark.pedantic(run_pooled, setup=setup, rounds=3, iterations=1)
     assert report.n_executed == 12
-    results["_pooled_root"] = roots[-1]
-    results["_pooled_keep"] = roots
-    results["pooled_seconds"] = benchmark.stats.stats.mean
-    results["pooled_scenarios_per_second"] = 12 / benchmark.stats.stats.mean
-
-
-def test_bench_sweep_pooled_repeat(benchmark, results):
-    """Repeat study: fresh store, warm outcome memo — analysis skipped."""
-    import hashlib
-    import os
-
-    _clear_process_state()
-    warm_root = tempfile.mkdtemp(prefix="bench_sweep_repeat_warm_")
-    run(
-        _pooled_spec(),
-        SweepStore(warm_root),
-        SweepOptions(n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()),
-    )
-    roots = []
-
-    def setup():
-        root = tempfile.mkdtemp(prefix="bench_sweep_repeat_")
-        roots.append(root)
-        return (root,), {}
-
-    def run_repeat(root):
-        return run(
-            _pooled_spec(),
-            SweepStore(root),
-            SweepOptions(
-                n_workers=1, artifacts=ArtifactOptions(), pool=BatchPoolOptions()
-            ),
-        )
-
-    report = benchmark.pedantic(run_repeat, setup=setup, rounds=3, iterations=1)
-    assert report.n_executed == 12
-    if "_unpooled_root" not in results or "_pooled_root" not in results:
-        for root in (warm_root, *roots):
+    if "_unpooled_root" not in results:
+        for root in roots:
             shutil.rmtree(root, ignore_errors=True)
-        pytest.skip(
-            "pooled summary needs the unpooled/pooled bench tests to run first"
-        )
+        pytest.skip("pooled summary needs the unpooled bench test to run first")
 
-    def digests(root):
-        out = {}
-        for entry in sorted(os.listdir(root)):
-            path = os.path.join(root, entry)
-            if entry.startswith(".") or not os.path.isfile(path):
-                continue
-            with open(path, "rb") as handle:
-                out[entry] = hashlib.sha256(handle.read()).hexdigest()
-        return out
-
-    # Pooling, sharing and memoisation never change a stored byte.
-    reference = digests(results.pop("_unpooled_root"))
-    assert digests(results.pop("_pooled_root")) == reference
-    assert digests(roots[-1]) == reference
-    for root in (
-        warm_root,
-        *roots,
-        *results.pop("_unpooled_keep"),
-        *results.pop("_pooled_keep"),
-    ):
+    # Pooling and sharing never change a stored byte.
+    assert _digests(roots[-1]) == _digests(results.pop("_unpooled_root"))
+    for root in (*roots, *results.pop("_unpooled_keep")):
         shutil.rmtree(root, ignore_errors=True)
 
-    results["pooled_repeat_seconds"] = benchmark.stats.stats.mean
+    results["pooled_seconds"] = benchmark.stats.stats.mean
+    results["pooled_scenarios_per_second"] = 12 / benchmark.stats.stats.mean
     results["pooled_speedup"] = round(
         results["pooled_grid_unpooled_seconds"] / results["pooled_seconds"], 2
-    )
-    results["pooled_repeat_speedup"] = round(
-        results["pooled_grid_unpooled_seconds"]
-        / results["pooled_repeat_seconds"],
-        2,
     )
     # No hard floor assert here: the committed pooled_speedup baseline
     # plus the check_bench gate (35% tolerance on speedup ratios) is

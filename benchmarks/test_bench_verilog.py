@@ -135,11 +135,6 @@ def test_bench_imported_simulation(benchmark, capsys):
             "interpreted_cycles_per_sec": SIM_CYCLES / seconds["interpreted"],
             "compiled_cycles_per_sec": SIM_CYCLES / seconds["compiled"],
             "compiled_speedup": speedup_compiled,
-            # The compiled engine is the kernel path the retired
-            # ``vectorised`` choice used to pin; its keys stay so the
-            # regression gate keeps tracking the committed baseline.
-            "vectorised_cycles_per_sec": SIM_CYCLES / seconds["compiled"],
-            "vectorised_speedup": speedup_compiled,
         }
     }
     _merge_results(update)

@@ -1,18 +1,15 @@
 """Measurement campaigns: the paper's ``Pw(device, n)`` step.
 
 :func:`acquire_traces` is the library-level entry point for power
-acquisition; :class:`MeasurementBench` bundles an oscilloscope and a
-randomness policy so a whole experiment shares one reproducible
-measurement chain.
+acquisition.  Two ways of seeding it cover every caller:
 
-A bench has two seeding modes:
-
-* **Sequential** (``seed=...``) — one RNG stream consumed in
-  acquisition order, as on a real bench where measurement order
-  matters.  Two benches with the same seed reproduce each other only
-  if they measure the same devices in the same order.
-* **Keyed** (``key=...``) — every ``(device, cycle-count)`` pair gets
-  its own generator seeded from
+* **Sequential** — :class:`MeasurementBench` bundles an oscilloscope
+  and one RNG stream (``seed=...``) consumed in acquisition order, as
+  on a real bench where measurement order matters.  Two benches with
+  the same seed reproduce each other only if they measure the same
+  devices in the same order.
+* **Keyed** — :func:`acquire_keyed` gives every ``(device,
+  cycle-count)`` pair its own generator seeded from
   :func:`derive_acquisition_seed`, so acquiring DUT#3 alone yields
   byte-identical traces to acquiring it inside a full campaign.  This
   is what makes trace sets *sharing-safe*: the artifact cache
@@ -136,8 +133,8 @@ def acquire_keyed(
 class MeasurementBench:
     """One measurement setup shared across a whole experiment.
 
-    Holds the oscilloscope and the seeding policy (see the module
-    docstring) so campaigns are exactly reproducible, and caches
+    Holds the oscilloscope and one sequential RNG stream (see the
+    module docstring) so experiments are exactly reproducible, and caches
     acquired trace sets per device.  Cached matrices are frozen
     (``writeable = False``) and served as zero-copy views — consumers
     must treat trace sets as immutable, which everything in
@@ -148,11 +145,9 @@ class MeasurementBench:
         self,
         oscilloscope: Optional[Oscilloscope] = None,
         seed: RngLike = None,
-        key: Optional[str] = None,
     ):
         self.oscilloscope = oscilloscope if oscilloscope is not None else Oscilloscope()
         self.rng = make_rng(seed)
-        self.key = key
         self._cache: Dict[str, TraceSet] = {}
 
     @staticmethod
@@ -181,12 +176,7 @@ class MeasurementBench:
                 if cached.n_traces == n_traces:
                     return cached
                 return TraceSet(cached.device_name, cached.matrix[:n_traces])
-        if self.key is not None:
-            (traces,) = acquire_keyed(
-                self.oscilloscope, self.key, [(device, n_traces)], n_cycles
-            )
-        else:
-            traces = self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
+        traces = self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
         if cache:
             traces.matrix.flags.writeable = False
             self._cache[cache_key] = traces
@@ -197,47 +187,19 @@ class MeasurementBench:
         devices: Iterable[Device],
         n_traces: int,
         n_cycles: Optional[int] = None,
-        pool=None,
     ) -> Dict[str, TraceSet]:
         """Acquire the same number of traces on several devices.
 
         The fleet's switching activity is primed first
         (:func:`~repro.acquisition.device.prime_fleet_activity`): all
         devices sharing a netlist shape simulate in one batched engine
-        execution instead of one scalar run each.  ``pool`` optionally
-        routes that priming through a shared
-        :class:`~repro.hdl.batch_pool.BatchPool`, so lanes other
-        callers already submitted batch together with this fleet's;
-        the pool is flushed before acquisition starts, but only when
-        this fleet's priming left lanes unresolved — an already-primed
-        fleet measures immediately without draining other callers'
-        pending lanes.  Acquired bytes are unchanged either way —
-        batching only fills the activity caches faster.
-
-        A keyed bench acquires every device its cache cannot serve in
-        one :func:`acquire_keyed` call, concurrently; a sequential
-        bench measures one device after another, in iteration order.
+        execution instead of one scalar run each.  Acquired bytes are
+        unchanged by that — batching only fills the activity caches
+        faster.  Devices are then measured one after another, in
+        iteration order, from the bench's single stream.
         """
         devices = list(devices)
-        submitted = prime_fleet_activity(devices, n_cycles, pool=pool)
-        if pool is not None and submitted:
-            pool.flush()
-        if self.key is not None:
-            missing: Dict[str, Device] = {}
-            for device in devices:
-                cache_key = self._cache_key(device, n_cycles)
-                cached = self._cache.get(cache_key)
-                if cached is None or cached.n_traces < n_traces:
-                    missing.setdefault(cache_key, device)
-            acquired = acquire_keyed(
-                self.oscilloscope,
-                self.key,
-                [(device, n_traces) for device in missing.values()],
-                n_cycles,
-            )
-            for cache_key, traces in zip(missing, acquired):
-                traces.matrix.flags.writeable = False
-                self._cache[cache_key] = traces
+        prime_fleet_activity(devices, n_cycles)
         return {
             device.name: self.measure(device, n_traces, n_cycles)
             for device in devices

@@ -22,10 +22,10 @@ pairs over campaign-config paths (``noise.sigma``, ``parameters.n2``,
 ``adc.bits``, ``watermarked``, ``attack``, ...); values are parsed as
 JSON scalars.  Without ``--axis`` a default 24-scenario surface (noise
 x trace budget x attack) is swept at a reduced, fast parameter point.
-``--share-artifacts`` reuses manufactured fleets, acquired trace
-matrices and whole memoised campaign outcomes across scenarios whose
-config tiers agree (byte-identical results, order-of-magnitude faster
-analysis-axis grids and repeat studies); ``--artifact-cache DIR`` adds
+``--share-artifacts`` reuses manufactured fleets and acquired trace
+matrices across scenarios whose fleet and measurement keys agree
+(byte-identical results, order-of-magnitude faster analysis-axis
+grids and repeat studies); ``--artifact-cache DIR`` adds
 an on-disk tier shared by all workers and runs.  With ``--workers 1``
 the sweep runs in process and the cross-campaign batch pool is on by
 default (``--no-batch-pool`` disables it): scenario fleets' netlist

@@ -5,8 +5,8 @@ n)`` — 400 reference + 4 x 10 000 DUT traces — yet a scenario sweep
 whose axes are *analysis-side* (``parameters.k/m/n1/n2``,
 distinguishers, ``analysis_seed``) re-manufactures the fleet and
 re-acquires every trace set per scenario.  This module closes that
-gap by splitting :class:`~repro.experiments.runner.CampaignConfig`
-into three derived cache keys:
+gap by deriving two cache keys from a
+:class:`~repro.experiments.runner.CampaignConfig`:
 
 * **fleet key** (:func:`fleet_key`) — everything that determines the
   manufactured silicon: power model, variation model, waveform
@@ -21,18 +21,10 @@ into three derived cache keys:
   needing ``n2 = 2 500`` traces slices the first 2 500 rows of a
   cached ``n2 = 10 000`` matrix and gets exactly the bytes a direct
   2 500-trace acquisition would produce.
-* **analysis key** (:func:`analysis_key`) — everything, including
-  ``k``/``m``, ``analysis_seed``, ``single_reference`` and the
-  distinguisher set.  Two configs with equal analysis keys produce
-  byte-identical campaign outcomes; it is the natural memoisation key
-  for a full :func:`~repro.experiments.runner.run_campaign` result,
-  and :class:`ArtifactCache` uses it exactly so: the *outcome tier*
-  (:meth:`ArtifactCache.outcome` / :meth:`ArtifactCache.remember_outcome`)
-  memoises whole :class:`~repro.experiments.runner.CampaignOutcome`
-  objects, so repeat-style studies and re-run sweeps skip manufacture,
-  acquisition *and* analysis entirely.  A memoised campaign consults
-  nothing else — not the fleet tier, not the trace tier, not any
-  batch pool.
+
+Analysis (k-averaging, correlation, verdicts) is never cached: it is
+cheap next to acquisition and always re-runs on the shared fleet and
+traces.
 
 Campaigns run inside a sweep may additionally tamper with the DUTs
 (the ``attack`` axis); the transform name is folded into every key as
@@ -55,9 +47,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -68,8 +59,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.oscilloscope import Oscilloscope
@@ -88,12 +77,6 @@ DEFAULT_TRACE_BUDGET = 256 * 1024 * 1024
 
 #: Default number of manufactured fleets kept alive per process.
 DEFAULT_FLEET_SLOTS = 8
-
-#: Default number of memoised campaign outcomes kept alive per process
-#: (an outcome is just 16 correlation sets plus verdicts — tiny next
-#: to a trace matrix, so dozens are cheap).
-DEFAULT_OUTCOME_SLOTS = 32
-
 
 def _canonical_json(value: object) -> str:
     """Canonical (sorted, compact) JSON used for key digests."""
@@ -194,23 +177,6 @@ def measurement_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
     )
 
 
-def analysis_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
-    """Digest of the full campaign identity — fleet, measurement and
-    every analysis-side axis.  Equal keys mean byte-identical
-    :func:`~repro.experiments.runner.run_campaign` outcomes."""
-    return _digest(
-        "analysis",
-        {
-            "measurement": measurement_key(config, fleet_tag),
-            "k": config.parameters.k,
-            "m": config.parameters.m,
-            "analysis_seed": config.analysis_seed,
-            "single_reference": config.single_reference,
-            "distinguishers": [d.name for d in config.distinguishers],
-        },
-    )
-
-
 @dataclass(frozen=True)
 class ArtifactOptions:
     """Picklable sharing configuration (travels in pool payloads).
@@ -223,15 +189,12 @@ class ArtifactOptions:
     root: Optional[str] = None
     max_trace_bytes: int = DEFAULT_TRACE_BUDGET
     max_fleets: int = DEFAULT_FLEET_SLOTS
-    max_outcomes: int = DEFAULT_OUTCOME_SLOTS
 
     def __post_init__(self) -> None:
         if self.max_trace_bytes <= 0:
             raise ValueError("max_trace_bytes must be positive")
         if self.max_fleets <= 0:
             raise ValueError("max_fleets must be positive")
-        if self.max_outcomes <= 0:
-            raise ValueError("max_outcomes must be positive")
 
 
 @dataclass
@@ -243,9 +206,6 @@ class ArtifactStats:
     trace_hits: int = 0
     trace_misses: int = 0
     disk_hits: int = 0
-    outcome_hits: int = 0
-    outcome_misses: int = 0
-    outcome_disk_hits: int = 0
     bytes_acquired: int = 0
     bytes_in_memory: int = 0
     peak_bytes: int = 0
@@ -272,7 +232,6 @@ class ArtifactCache:
         self.stats = ArtifactStats()
         self._fleets: "OrderedDict[str, object]" = OrderedDict()
         self._traces: "OrderedDict[Tuple[str, str, int], TraceSet]" = OrderedDict()
-        self._outcomes: "OrderedDict[str, object]" = OrderedDict()
         self._store = None
         if self.options.root is not None:
             # Deferred import: repro.sweeps pulls in the runner module,
@@ -440,75 +399,6 @@ class ArtifactCache:
             served[index] = traces
         return served
 
-    # -- campaign outcomes (the fourth artifact tier) ----------------------
-
-    def _outcome_id(self, key: str) -> str:
-        return _digest("outcome", {"analysis": key})
-
-    def has_outcome(self, config: "CampaignConfig", fleet_tag: str = "none") -> bool:
-        """True when the campaign outcome for this config is memoised.
-
-        A pure peek: no stats are touched and no LRU entry moves, so
-        planners (e.g. the sweep executor deciding whether a scenario
-        needs a fleet prefetched into the batch pool) can ask freely.
-        """
-        key = analysis_key(config, fleet_tag)
-        if key in self._outcomes:
-            return True
-        return self._store is not None and self._store.has(self._outcome_id(key))
-
-    def outcome(
-        self, config: "CampaignConfig", fleet_tag: str = "none"
-    ) -> Optional[object]:
-        """The memoised :class:`CampaignOutcome` for this config, if any.
-
-        Lookup order: memory LRU, then the disk tier (reconstructed
-        from its deterministic record + array bundle).  Returns
-        ``None`` on a miss — the caller runs the campaign and stores
-        it back through :meth:`remember_outcome`.  Equal analysis keys
-        guarantee byte-identical outcomes, so a hit is
-        indistinguishable from re-running the campaign (down to the
-        sweep store digests derived from it).
-        """
-        key = analysis_key(config, fleet_tag)
-        cached = self._outcomes.get(key)
-        if cached is not None:
-            self._outcomes.move_to_end(key)
-            self.stats.outcome_hits += 1
-            return cached
-        if self._store is not None:
-            artifact_id = self._outcome_id(key)
-            if self._store.has(artifact_id):
-                record = self._store.get(artifact_id)
-                arrays = self._store.get_arrays(artifact_id)
-                loaded = _outcome_from_record(config, record, arrays)
-                self.stats.outcome_disk_hits += 1
-                self._remember_outcome_in_memory(key, loaded)
-                return loaded
-        self.stats.outcome_misses += 1
-        return None
-
-    def remember_outcome(
-        self,
-        config: "CampaignConfig",
-        fleet_tag: str,
-        outcome: object,
-    ) -> None:
-        """Memoise one computed campaign outcome on its analysis key."""
-        key = analysis_key(config, fleet_tag)
-        self._remember_outcome_in_memory(key, outcome)
-        if self._store is not None:
-            artifact_id = self._outcome_id(key)
-            if not self._store.has(artifact_id):
-                record, arrays = _outcome_record(key, outcome)
-                self._store.put(artifact_id, record, arrays)
-
-    def _remember_outcome_in_memory(self, key: str, outcome: object) -> None:
-        self._outcomes[key] = outcome
-        self._outcomes.move_to_end(key)
-        while len(self._outcomes) > self.options.max_outcomes:
-            self._outcomes.popitem(last=False)
-
     # -- disk tier ---------------------------------------------------------
 
     def _load_from_store(
@@ -558,116 +448,10 @@ class ArtifactCache:
         """Drop every in-memory artifact (the disk tier is untouched)."""
         self._fleets.clear()
         self._traces.clear()
-        self._outcomes.clear()
         self.stats = ArtifactStats()
 
     def __len__(self) -> int:
-        return len(self._fleets) + len(self._traces) + len(self._outcomes)
-
-
-# -- campaign-outcome serialisation ----------------------------------------
-#
-# The disk tier persists a CampaignOutcome as a (record, arrays) pair
-# through the same content-addressed store machinery as trace matrices.
-# Fidelity matters more than elegance here: a reconstructed outcome
-# must be byte-indistinguishable from the computed one for *every*
-# consumer — sweep metrics, correlation-set bundles, accuracy tables —
-# so floats travel through canonical JSON (repr round-trips exactly),
-# coefficient arrays travel through the deterministic npz bundle, and
-# all dict orderings are recorded explicitly.
-
-
-def _outcome_record(
-    key: str, outcome
-) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Serialise one CampaignOutcome into a store (record, arrays) pair."""
-    reports: Dict[str, object] = {}
-    arrays: Dict[str, np.ndarray] = {}
-    for ref, report in outcome.reports.items():
-        duts = list(report.results)
-        for dut in duts:
-            arrays[f"C/{ref}/{dut}"] = np.asarray(
-                report.results[dut].coefficients, dtype=np.float64
-            )
-        reports[ref] = {
-            "ref_name": report.ref_name,
-            "duts": duts,
-            "verdicts": [
-                {
-                    "distinguisher": verdict.distinguisher,
-                    "chosen_dut": verdict.chosen_dut,
-                    "confidence_percent": float(verdict.confidence_percent),
-                    "scores": [
-                        [name, float(score)]
-                        for name, score in verdict.scores.items()
-                    ],
-                }
-                for verdict in report.verdicts
-            ],
-        }
-    record = {
-        "artifact": "outcome",
-        "schema": ARTIFACT_SCHEMA,
-        "analysis_key": key,
-        "ref_order": list(outcome.ref_order),
-        "dut_order": list(outcome.dut_order),
-        "report_order": list(outcome.reports),
-        "reports": reports,
-    }
-    return record, arrays
-
-
-def _outcome_from_record(
-    config: "CampaignConfig",
-    record: Mapping[str, object],
-    arrays: Mapping[str, np.ndarray],
-):
-    """Rebuild a CampaignOutcome from its persisted form.
-
-    ``config`` is the caller's config: it necessarily shares the
-    analysis key the record was stored under, so its parameters and
-    distinguishers describe the persisted outcome exactly.
-    """
-    # Deferred imports: the runner module imports this one.
-    from repro.core.distinguishers import Verdict
-    from repro.core.process import CorrelationResult
-    from repro.core.verification import VerificationReport
-    from repro.experiments.runner import CampaignOutcome
-
-    reports = {}
-    for ref in record["report_order"]:
-        payload = record["reports"][ref]
-        ref_name = payload["ref_name"]
-        results = {
-            dut: CorrelationResult(
-                ref_name=ref_name,
-                dut_name=dut,
-                parameters=config.parameters,
-                coefficients=np.asarray(arrays[f"C/{ref}/{dut}"], dtype=np.float64),
-            )
-            for dut in payload["duts"]
-        }
-        verdicts = [
-            Verdict(
-                distinguisher=entry["distinguisher"],
-                chosen_dut=entry["chosen_dut"],
-                confidence_percent=float(entry["confidence_percent"]),
-                scores={name: float(score) for name, score in entry["scores"]},
-            )
-            for entry in payload["verdicts"]
-        ]
-        reports[ref] = VerificationReport(
-            ref_name=ref_name,
-            parameters=config.parameters,
-            results=results,
-            verdicts=verdicts,
-        )
-    return CampaignOutcome(
-        config=config,
-        reports=reports,
-        dut_order=tuple(record["dut_order"]),
-        ref_order=tuple(record["ref_order"]),
-    )
+        return len(self._fleets) + len(self._traces)
 
 
 #: The per-process cache behind :func:`process_artifact_cache`.
@@ -699,12 +483,10 @@ def clear_process_artifact_cache() -> None:
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "DEFAULT_OUTCOME_SLOTS",
     "DEFAULT_TRACE_BUDGET",
     "ArtifactCache",
     "ArtifactOptions",
     "ArtifactStats",
-    "analysis_key",
     "clear_process_artifact_cache",
     "fleet_key",
     "measurement_base_key",

@@ -48,8 +48,8 @@ class CampaignConfig:
     ``"compiled"`` or ``"interpreted"`` — see
     :class:`~repro.hdl.simulator.Simulator`.
 
-    The fields split into three artifact tiers, each with a derived
-    cache key (see :mod:`repro.experiments.artifacts`):
+    The fields split into three groups (see
+    :mod:`repro.experiments.artifacts`):
 
     * **fleet** — ``power_model``, ``variation``, ``waveform``,
       ``fleet_seed``, ``watermarked``, ``design``, ``engine`` determine
@@ -61,12 +61,12 @@ class CampaignConfig:
       (:func:`~repro.experiments.artifacts.measurement_key`);
     * **analysis** — plus ``parameters.k``/``m``, ``analysis_seed``,
       ``single_reference`` and ``distinguishers``, they determine the
-      full campaign outcome
-      (:func:`~repro.experiments.artifacts.analysis_key`).
+      full campaign outcome.  Analysis is never cached; it re-runs on
+      the shared fleet and trace matrices.
 
-    Campaigns sharing a prefix of those tiers can share the matching
-    artifacts byte-identically, which is what makes analysis-side
-    scenario sweeps an order of magnitude cheaper.
+    Campaigns with equal fleet or measurement keys can share the
+    fleet or the trace matrices byte-identically, which is what makes
+    analysis-side scenario sweeps an order of magnitude cheaper.
     """
 
     parameters: ProcessParameters = field(default_factory=ProcessParameters)
@@ -250,11 +250,7 @@ def run_campaign(
     fleets and trace matrices across calls byte-identically to this
     unshared path; ``fleet_tag`` names the DUT transform the fleet
     carries (the sweep ``attack`` axis) so tampered artifacts never
-    alias pristine ones.  With ``artifacts``, whole campaign outcomes
-    are additionally memoised on the config's *analysis key*: a repeat
-    call with an equal key returns the stored outcome without touching
-    the fleet, the bench or any batch pool (equal keys guarantee
-    byte-identical outcomes, so a memo hit is unobservable downstream).
+    alias pristine ones.
 
     ``batch_pool`` routes the fleet's activity priming through a shared
     :class:`~repro.hdl.batch_pool.BatchPool`, so simulation lanes this
@@ -270,8 +266,7 @@ def run_campaign(
         # arbitrary caller-supplied fleet could poison it (or be
         # served traces of a different fleet).  Only a fleet that
         # came out of this cache for the same keys is provably
-        # consistent.  Checked before the outcome memo so a foreign
-        # fleet fails loudly even when a memoised outcome exists.
+        # consistent.
         try:
             cached = artifacts.fleet(cfg, fleet_tag)
         except KeyError:
@@ -283,10 +278,6 @@ def run_campaign(
                 "artifacts.fleet(config, fleet_tag); pass fleet_tag "
                 "and let run_campaign manufacture it instead"
             )
-    if artifacts is not None:
-        memoised = artifacts.outcome(cfg, fleet_tag)
-        if memoised is not None:
-            return memoised
     if fleet is not None:
         refds, duts = fleet
     else:
@@ -334,10 +325,7 @@ def run_campaign(
         reports[ref_name] = verifier.identify(
             t_refs[ref_name], t_duts, rng=analysis_rng
         )
-    outcome = CampaignOutcome(config=cfg, reports=reports)
-    if artifacts is not None:
-        artifacts.remember_outcome(cfg, fleet_tag, outcome)
-    return outcome
+    return CampaignOutcome(config=cfg, reports=reports)
 
 
 def repeated_accuracy(

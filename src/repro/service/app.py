@@ -73,10 +73,15 @@ _logger = logging.getLogger(__name__)
 #: Seconds between store polls while streaming rows of a running job.
 ROWS_POLL_INTERVAL = 0.2
 
-#: Request-option keys accepted by ``POST /sweeps``.
-_OPTION_KEYS = frozenset(
-    {"n_workers", "max_retries", "scenario_timeout", "lease_ttl"}
-)
+#: Request options accepted by ``POST /sweeps``, each with the JSON
+#: types its value must already have (never a bool; no coercion) and
+#: how the 400 names them.  ``scenario_timeout`` may also be null.
+_OPTION_TYPES = {
+    "n_workers": ((int,), "an integer"),
+    "max_retries": ((int,), "an integer"),
+    "lease_ttl": ((int, float), "a number"),
+    "scenario_timeout": ((int, float), "a number or null"),
+}
 
 
 class SweepService:
@@ -113,23 +118,25 @@ class SweepService:
         if not isinstance(payload, dict):
             raise HTTPError(400, "options: expected an object")
         for key in payload:
-            if key not in _OPTION_KEYS:
+            if key not in _OPTION_TYPES:
                 raise HTTPError(
                     400,
                     f"options.{key}: unknown option (accepted: "
-                    f"{', '.join(sorted(_OPTION_KEYS))})",
+                    f"{', '.join(sorted(_OPTION_TYPES))})",
                 )
+            value = payload[key]
+            if key == "scenario_timeout" and value is None:
+                continue
+            kinds, expected = _OPTION_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise HTTPError(400, f"options.{key}: expected {expected}")
         defaults = self.default_options
         scheduler = defaults.scheduler or SchedulerOptions()
         n_workers = payload.get("n_workers", defaults.n_workers)
-        if isinstance(n_workers, bool) or not isinstance(n_workers, int):
-            raise HTTPError(400, "options.n_workers: expected an integer")
         try:
             retry = defaults.retry
             if "max_retries" in payload:
-                retry = RetryPolicy(
-                    max_attempts=int(payload["max_retries"]) + 1
-                )
+                retry = RetryPolicy(max_attempts=payload["max_retries"] + 1)
             scheduler_fields: Dict[str, object] = {}
             if "lease_ttl" in payload:
                 scheduler_fields["lease_ttl"] = float(payload["lease_ttl"])
@@ -146,7 +153,7 @@ class SweepService:
                 retry=retry,
                 scheduler=scheduler,
             )
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise HTTPError(400, f"options: {error}")
 
     def _job_or_404(self, request: Request) -> SweepJob:

@@ -43,9 +43,9 @@ class SweepOptions:
 
     ``artifacts``
         :class:`~repro.experiments.artifacts.ArtifactOptions` enabling
-        cross-scenario fleet/trace sharing and campaign-outcome
-        memoisation (an options ``root`` adds the on-disk tier shared
-        across workers, runs and service instances).
+        cross-scenario fleet and trace sharing (an options ``root``
+        adds the on-disk tier shared across workers, runs and service
+        instances).
 
     ``pool``
         :class:`~repro.hdl.batch_pool.BatchPoolOptions` enabling the

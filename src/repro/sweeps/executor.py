@@ -34,12 +34,10 @@ Artifact sharing: ``artifacts=``
 attempt a process-wide :class:`~repro.experiments.artifacts.ArtifactCache`,
 so scenarios that differ only in analysis-side axes reuse one fleet
 manufacture and one trace acquisition — byte-identically, because
-acquisition streams are keyed per device, never sequential — and whole
-campaign outcomes are memoised on the analysis key, so a re-run study
-(same scenarios, fresh store) skips re-analysis entirely.  An options
-``root`` adds a shared on-disk tier, which is how *separate worker
-processes* (and separate runs) meet: the first worker to need an
-artifact persists it, the rest load it.  A long-lived worker keeps its
+acquisition streams are keyed per device, never sequential.  An
+options ``root`` adds a shared on-disk tier, which is how *separate
+worker processes* (and separate runs) meet: the first worker to need
+an artifact persists it, the rest load it.  A long-lived worker keeps its
 in-memory tiers warm across the attempts it runs.
 
 Cross-campaign batching (in process only): ``pool=``
@@ -55,9 +53,7 @@ rest of the wave stays pending, and drains in one cross-campaign
 shape-grouped flush when the first campaign that needs it primes its
 fleet — scenarios batch across, not just within, campaigns, while
 peak memory stays bounded by one window's fleets.  One pool spans the
-whole sweep.  Scenarios whose campaign outcome is already memoised
-are skipped by the prefetch — a memoised campaign never consults the
-pool.  Pooling is pure execution strategy: store digests are
+whole sweep.  Pooling is pure execution strategy: store digests are
 byte-identical with the pool on or off, for any window or flush
 budget.
 """
@@ -150,8 +146,7 @@ def _prefetch_into_pool(
     fleets stay in the artifact cache (the campaign fetches them back
     by key, which stays correct even if the fleet LRU evicts one in
     between — callers size their windows so eviction is the exception,
-    not the rule).  Scenarios with a memoised campaign outcome are
-    skipped entirely: a memoised campaign must not consult the pool.
+    not the rule).
 
     Flushing overlaps with acquisition: only the *first* scenario that
     submitted lanes triggers a flush here, so the window's first
@@ -175,8 +170,6 @@ def _prefetch_into_pool(
         try:
             config = scenario_config(scenario)
             attack = scenario.attack
-            if artifacts is not None and artifacts.has_outcome(config, attack):
-                continue
             if artifacts is not None:
                 refds, duts = artifacts.fleet(
                     config,

@@ -50,8 +50,7 @@ def run_scenario_campaign(
     cache, the fleet and every acquired trace matrix are shared across
     scenarios whose fleet/measurement tiers agree — byte-identically
     to the unshared path, because acquisition streams are keyed per
-    device (see :mod:`repro.experiments.artifacts`) — and whole
-    campaign outcomes are memoised on the analysis key.
+    device (see :mod:`repro.experiments.artifacts`).
 
     ``fleet`` optionally passes a pre-built (already attacked) fleet —
     the executor's batch-pool prefetch uses it so a scenario does not
@@ -109,10 +108,9 @@ def run_scenario(
     The returned mapping has two parts: ``"record"`` (JSON-able —
     scenario identity, overrides, metrics) and ``"arrays"`` (the raw
     correlation sets for the array bundle).  ``artifacts`` enables
-    cross-scenario fleet/trace sharing and campaign-outcome
-    memoisation, ``fleet``/``batch_pool`` plug the scenario into the
-    executor's cross-campaign batch pool — none of them change a byte
-    of the payload.
+    cross-scenario fleet and trace sharing, ``fleet``/``batch_pool``
+    plug the scenario into the executor's cross-campaign batch pool —
+    none of them change a byte of the payload.
     """
     outcome = run_scenario_campaign(
         scenario, artifacts=artifacts, fleet=fleet, batch_pool=batch_pool

@@ -1,6 +1,6 @@
 """Tests for cross-scenario artifact sharing.
 
-Covers the three-key config split, the sharing-safe acquisition
+Covers the fleet/measurement key split, the sharing-safe acquisition
 refactor (keyed per-device seeds, in-place noise and quantisation
 checked against the out-of-place formula, ADC grid invariance,
 read-only cache views, prefix reuse, concurrent keyed acquisition)
@@ -17,14 +17,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.acquisition.bench import MeasurementBench, derive_acquisition_seed
+from repro.acquisition.bench import (
+    MeasurementBench,
+    acquire_keyed,
+    derive_acquisition_seed,
+)
 from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
 from repro.core.process import ProcessParameters
 from repro.experiments.artifacts import (
     ArtifactCache,
     ArtifactOptions,
-    analysis_key,
     fleet_key,
     measurement_base_key,
     measurement_key,
@@ -83,7 +86,6 @@ class TestConfigKeys:
         assert fleet_key(base) == fleet_key(analysis_only)
         assert measurement_base_key(base) == measurement_base_key(analysis_only)
         assert measurement_key(base) != measurement_key(analysis_only)  # ceilings
-        assert analysis_key(base) != analysis_key(analysis_only)
 
     def test_measurement_axes_change_measurement_not_fleet(self):
         base = quick_config()
@@ -92,7 +94,6 @@ class TestConfigKeys:
         for other in (noisy, reseeded):
             assert fleet_key(base) == fleet_key(other)
             assert measurement_base_key(base) != measurement_base_key(other)
-            assert analysis_key(base) != analysis_key(other)
 
     def test_fleet_axes_change_every_key(self):
         base = quick_config()
@@ -101,7 +102,6 @@ class TestConfigKeys:
         for other in (refab, plain):
             assert fleet_key(base) != fleet_key(other)
             assert measurement_base_key(base) != measurement_base_key(other)
-            assert analysis_key(base) != analysis_key(other)
 
     def test_engine_changes_fleet_key_but_not_measurements(self):
         # The simulation path is bit-equivalent on waveforms, so it must
@@ -126,7 +126,6 @@ class TestConfigKeys:
             fleet_key(base),
             measurement_base_key(base),
             measurement_key(base),
-            analysis_key(base),
         ):
             assert isinstance(key, str) and len(key) == 32
 
@@ -134,15 +133,11 @@ class TestConfigKeys:
 class TestKeyedAcquisition:
     def test_device_alone_equals_device_inside_campaign(self):
         # The sharing-safe property: acquiring one device is independent
-        # of what else the bench measured before it.
-        scope_kwargs = dict(noise=NoiseModel(sigma=1.0), adc=ADCConfig())
+        # of what else is acquired with it.
+        scope = Oscilloscope(noise=NoiseModel(sigma=1.0), adc=ADCConfig())
         d1, d2 = make_device("a"), make_device("b")
-        full = MeasurementBench(Oscilloscope(**scope_kwargs), key="K")
-        full.measure(d1, 30)
-        inside = full.measure(d2, 20)
-        alone = MeasurementBench(Oscilloscope(**scope_kwargs), key="K").measure(
-            d2, 20
-        )
+        _, inside = acquire_keyed(scope, "K", [(d1, 30), (d2, 20)])
+        (alone,) = acquire_keyed(scope, "K", [(make_device("b"), 20)])
         np.testing.assert_array_equal(inside.matrix, alone.matrix)
 
     def test_prefix_stability_across_budgets(self):
@@ -279,21 +274,26 @@ class TestConcurrentAcquisition:
 
         monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 4)
 
-    def test_measure_all_equals_per_device_measure(self, many_cpus):
+    def test_acquire_keyed_equals_one_by_one(self, many_cpus):
         scope = Oscilloscope(noise=NoiseModel(sigma=1.0), adc=ADCConfig())
         devices = [make_device(name) for name in ("a", "b", "c")]
-        together = MeasurementBench(scope, key="K").measure_all(devices, 40)
-        for device in devices:
-            alone = MeasurementBench(scope, key="K").measure(device, 40)
-            assert together[device.name].matrix.tobytes() == alone.matrix.tobytes()
-            assert not together[device.name].matrix.flags.writeable
+        together = acquire_keyed(scope, "K", [(device, 40) for device in devices])
+        for device, traces in zip(devices, together):
+            (alone,) = acquire_keyed(scope, "K", [(device, 40)])
+            assert traces.matrix.tobytes() == alone.matrix.tobytes()
 
-    def test_measure_all_serves_cached_devices_without_reacquiring(self, many_cpus):
-        bench = MeasurementBench(key="K")
-        first = bench.measure(make_device("a"), 40)
-        result = bench.measure_all([make_device("a"), make_device("b")], 20)
-        assert np.shares_memory(result["a"].matrix, first.matrix)
-        np.testing.assert_array_equal(result["a"].matrix, first.matrix[:20])
+    def test_traces_many_serves_cached_devices_without_reacquiring(self, many_cpus):
+        cfg = quick_config()
+        cache = ArtifactCache()
+        first = cache.traces(cfg, make_device("a"), 40)
+        served, fresh = cache.traces_many(
+            cfg, [(make_device("a"), 20), (make_device("b"), 20)]
+        )
+        assert cache.stats.trace_hits == 1 and cache.stats.trace_misses == 2
+        assert np.shares_memory(served.matrix, first.matrix)
+        np.testing.assert_array_equal(served.matrix, first.matrix[:20])
+        assert not served.matrix.flags.writeable
+        assert not fresh.matrix.flags.writeable
 
     def test_sequential_bench_is_never_fanned_out(self, monkeypatch):
         import repro.acquisition.bench as bench_module
@@ -418,18 +418,19 @@ class TestArtifactCache:
         unshared = coefficient_matrix(run_campaign(cfg))
         cache = ArtifactCache()
         cold = coefficient_matrix(run_campaign(cfg, artifacts=cache))
-        # An identical config repeats the whole campaign from the
-        # outcome memo — no fleet or trace tier involved at all.
-        warm = coefficient_matrix(run_campaign(cfg, artifacts=cache))
-        assert cache.stats.outcome_hits == 1
         assert cache.stats.fleet_hits == 0
         assert cache.stats.trace_hits == 0
-        # A config differing only in an analysis-side knob misses the
-        # outcome memo but shares the fleet and every trace matrix.
-        rotated = dataclasses.replace(cfg, analysis_seed=cfg.analysis_seed + 1)
-        run_campaign(rotated, artifacts=cache)
+        # An identical config re-runs the analysis on the cached fleet
+        # and every cached trace matrix.
+        warm = coefficient_matrix(run_campaign(cfg, artifacts=cache))
         assert cache.stats.fleet_hits == 1
         assert cache.stats.trace_hits == 8
+        assert cache.stats.trace_misses == 8
+        # So does a config differing only in an analysis-side knob.
+        rotated = dataclasses.replace(cfg, analysis_seed=cfg.analysis_seed + 1)
+        run_campaign(rotated, artifacts=cache)
+        assert cache.stats.fleet_hits == 2
+        assert cache.stats.trace_hits == 16
         for pair, coefficients in unshared.items():
             np.testing.assert_array_equal(coefficients, cold[pair])
             np.testing.assert_array_equal(coefficients, warm[pair])
@@ -578,6 +579,32 @@ class TestSweepSharingByteIdentity:
             spec, shared, SweepOptions(n_workers=n_workers, artifacts=ArtifactOptions())
         )
         assert store_digests(plain.root) == store_digests(shared.root)
+
+    def test_engine_axis_with_sharing_matches_unshared_store(self, tmp_path):
+        # Each engine value has its own fleet key, so sharing runs every
+        # scenario's campaign in full on its own fleet; the measurement
+        # base key leaves the engine out, so the trace tier serves the
+        # same bytes to all three.
+        spec = SweepSpec(
+            name="engines",
+            grid=(GridAxis("engine", ("auto", "compiled", "interpreted")),),
+            base={
+                "parameters.k": 4,
+                "parameters.m": 4,
+                "parameters.n1": 32,
+                "parameters.n2": 64,
+                "fleet_seed": 2014,
+                "measurement_seed": 42,
+            },
+            seed=3,
+        )
+        plain = SweepStore(str(tmp_path / "plain"))
+        shared = SweepStore(str(tmp_path / "shared"))
+        run(spec, plain, SweepOptions(n_workers=1))
+        run(spec, shared, SweepOptions(n_workers=1, artifacts=ArtifactOptions()))
+        digests = store_digests(shared.root)
+        assert len(digests) >= spec.n_scenarios
+        assert digests == store_digests(plain.root)
 
     def test_disk_tier_matches_memory_only_sharing(self, tmp_path):
         spec = sharing_spec()

@@ -1,18 +1,15 @@
-"""Tests for the cross-campaign batch pool and campaign memoisation.
+"""Tests for the cross-campaign batch pool.
 
 The pool (:mod:`repro.hdl.batch_pool`) defers simulation requests from
-many campaigns and flushes them in shared shape-grouped batches; the
-artifact cache's fourth tier memoises whole campaign outcomes on the
-analysis key.  Both are pure execution strategies: every test here
-either proves byte-identity against the unpooled / unmemoised path or
-pins down the pool's contract — budget-triggered flushes mid-scenario,
-ragged cycle counts in one pool, keyed dedupe across campaigns,
-exception propagation out of a pooled flush, and the rule that a
-memoised campaign never consults the pool.
+many campaigns and flushes them in shared shape-grouped batches.  It
+is a pure execution strategy: every test here either proves
+byte-identity against the unpooled path or pins down the pool's
+contract — budget-triggered flushes mid-scenario, ragged cycle counts
+in one pool, keyed dedupe across campaigns, and exception propagation
+out of a pooled flush.
 """
 
 import hashlib
-import json
 import os
 
 import numpy as np
@@ -35,7 +32,7 @@ from repro.hdl import DRegister, Netlist, Simulator, TransitionTable
 from repro.hdl.batch_pool import BatchPool, BatchPoolOptions
 from repro.power.models import PowerModel
 from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
-from repro.sweeps.scenario import outcome_arrays, outcome_metrics
+from repro.sweeps.scenario import outcome_arrays
 
 QUICK = ProcessParameters(k=4, m=4, n1=32, n2=64)
 
@@ -304,47 +301,28 @@ class TestOverlappedFlushing:
             np.testing.assert_array_equal(values, plain_arrays[key])
 
 
-class TestCampaignMemoisation:
-    def test_memoised_campaign_does_not_consult_the_pool(self):
-        cache = ArtifactCache()
-        cfg = quick_config()
-        first = run_campaign(cfg, artifacts=cache)
-        clear_fleet_activity_cache()  # a re-run would need simulation …
-        pool = BatchPool()
-        again = run_campaign(cfg, artifacts=cache, batch_pool=pool)
-        assert again is first
-        # … but the memo hit never touched the pool at all.
-        assert pool.stats.submitted == 0 and pool.stats.flushes == 0
-        assert len(pool) == 0
-
-    def test_outcome_disk_tier_round_trips_exactly(self, tmp_path):
-        root = str(tmp_path / "artifacts")
-        cfg = quick_config()
-        computed = run_campaign(
-            cfg, artifacts=ArtifactCache(ArtifactOptions(root=root))
-        )
-        reader = ArtifactCache(ArtifactOptions(root=root))
-        loaded = reader.outcome(cfg, "none")
-        assert loaded is not None
-        assert reader.stats.outcome_disk_hits == 1
-        assert json.dumps(outcome_metrics(loaded), sort_keys=True) == json.dumps(
-            outcome_metrics(computed), sort_keys=True
-        )
-        fresh_arrays = outcome_arrays(computed)
-        for key, values in outcome_arrays(loaded).items():
-            np.testing.assert_array_equal(values, fresh_arrays[key])
-        # A second in-process lookup is a memory hit, not a disk read.
-        assert reader.outcome(cfg, "none") is loaded
-        assert reader.stats.outcome_hits == 1
-
+class TestSharedCampaigns:
     def test_fleet_tags_never_alias_outcomes(self):
         cache = ArtifactCache()
         cfg = quick_config()
-        pristine = run_campaign(cfg, artifacts=cache)
-        stripped = run_campaign(cfg, artifacts=cache, fleet_tag="strip")
-        assert stripped is not pristine
-        assert run_campaign(cfg, artifacts=cache, fleet_tag="strip") is stripped
-        assert run_campaign(cfg, artifacts=cache) is pristine
+        pristine = outcome_arrays(run_campaign(cfg, artifacts=cache))
+        stripped = outcome_arrays(
+            run_campaign(cfg, artifacts=cache, fleet_tag="strip")
+        )
+        assert any(
+            not np.array_equal(values, pristine[key])
+            for key, values in stripped.items()
+        )
+        # Re-runs are served from each tag's own fleet and traces.
+        again = outcome_arrays(
+            run_campaign(cfg, artifacts=cache, fleet_tag="strip")
+        )
+        assert cache.stats.fleet_hits == 1 and cache.stats.fleet_misses == 2
+        for key, values in again.items():
+            np.testing.assert_array_equal(values, stripped[key])
+        repeat = outcome_arrays(run_campaign(cfg, artifacts=cache))
+        for key, values in repeat.items():
+            np.testing.assert_array_equal(values, pristine[key])
 
 
 class TestPooledSweepByteIdentity:
@@ -375,7 +353,7 @@ class TestPooledSweepByteIdentity:
         )
         assert store_digests(shared.root) == reference
 
-        # Repeat study: same spec, fresh store, warm outcome memo.
+        # Repeat study: same spec, fresh store, warm fleet and trace tiers.
         repeat = SweepStore(str(tmp_path / "repeat"))
         report = run(
             spec,

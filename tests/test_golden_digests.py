@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.acquisition.bench import MeasurementBench
+from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.device import Device
 from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
 from repro.attacks.masking import masking_sweep
@@ -78,8 +78,8 @@ def test_default_campaign_digest_with_shared_artifacts():
 @pytest.mark.parametrize("chain", sorted(ACQUISITION_DIGESTS))
 def test_keyed_acquisition_digest(chain):
     device = Device("golden", build_paper_ip("IP_A"), PowerModel(), default_cycles=64)
-    bench = MeasurementBench(SCOPES[chain](), key="golden-digest")
-    matrix = bench.measure(device, 301).matrix
+    (traces,) = acquire_keyed(SCOPES[chain](), "golden-digest", [(device, 301)])
+    matrix = traces.matrix
     assert matrix.shape == (301, 256)
     digest = hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
     assert digest == ACQUISITION_DIGESTS[chain]

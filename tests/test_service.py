@@ -153,15 +153,62 @@ class TestHealthAndErrors:
         assert instance.jobs.jobs() == []
 
     @pytest.mark.parametrize("option", ["lease_ttl", "scenario_timeout"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_option_values_rejected(self, service, option, value):
+    @pytest.mark.parametrize(
+        "literal",
+        [pytest.param("1e999", id="inf"), pytest.param("-1e999", id="-inf")],
+    )
+    def test_non_finite_option_values_rejected(self, service, option, literal):
+        # An overflowing JSON number is the one way a non-finite value
+        # passes both the parser and the number check.
+        instance, client = service
+        spec = json.dumps(quick_spec().to_json_dict())
+        body = f'{{"spec": {spec}, "options": {{"{option}": {literal}}}}}'
+        status, reply = client._request("POST", "/sweeps", body.encode())
+        assert status == 400
+        assert f"{option} must be finite" in reply["error"]
+        assert instance.jobs.jobs() == []
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_retries", 2.9),
+            ("max_retries", True),
+            ("max_retries", "3"),
+            ("max_retries", None),
+            ("lease_ttl", True),
+            ("lease_ttl", "30"),
+            ("lease_ttl", None),
+            ("scenario_timeout", False),
+            ("scenario_timeout", "5"),
+        ],
+    )
+    def test_option_values_are_validated_not_coerced(self, service, option, value):
         instance, client = service
         status, body = client.post(
             "/sweeps", submission(quick_spec(), **{option: value})
         )
         assert status == 400
-        assert f"{option} must be finite" in body["error"]
+        assert f"options.{option}: expected" in body["error"]
         assert instance.jobs.jobs() == []
+
+    def test_overflowing_integer_lease_is_a_client_error(self, service):
+        instance, client = service
+        spec = json.dumps(quick_spec().to_json_dict())
+        body = f'{{"spec": {spec}, "options": {{"lease_ttl": {"9" * 400}}}}}'
+        status, reply = client._request("POST", "/sweeps", body.encode())
+        assert status == 400
+        assert instance.jobs.jobs() == []
+
+    def test_valid_option_values_are_applied(self, service):
+        instance, _ = service
+        options = instance._merge_options(
+            {"max_retries": 0, "lease_ttl": 5, "scenario_timeout": None}
+        )
+        assert options.retry.max_attempts == 1
+        assert options.scheduler.lease_ttl == 5.0
+        assert options.scheduler.scenario_timeout is None
+        options = instance._merge_options({"scenario_timeout": 2.5})
+        assert options.scheduler.scenario_timeout == 2.5
 
     @pytest.mark.parametrize("value", [2.0, True, "2"])
     def test_n_workers_must_be_a_json_integer(self, service, value):
